@@ -1,22 +1,20 @@
 /**
  * @file
- * Event-driven shard scheduling: O(active tiles) cycles vs the
+ * Event-driven shard scheduling: O(active components) cycles vs the
  * polling scheduler's O(all tiles), extending the Fig 7 fast-forward
  * methodology from "skip globally idle stretches" to "skip every idle
- * tile, every cycle" — and, with the event-fine scheduler, to "skip
- * every idle *component* inside every awake tile".
+ * tile, and every idle component inside the awake tiles, every cycle".
  *
  * The single-thread sweep crosses injection rate x mesh size x
- * scheduler under cycle-accurate sync with fast-forwarding off, so the
- * entire difference comes from per-tile/per-component sleeping. At low
- * rates most of the tile x cycle grid is idle: the event scheduler's
- * cost tracks the handful of active tiles, and event-fine shrinks the
- * cost of those active tiles again by visiting only router stages with
- * occupied VCs. At saturation every tile is busy every cycle and both
- * event schedulers must stay within noise of polling (their wake
- * bookkeeping is the only overhead). A bursty row (long fully-drained
- * gaps, the Fig 7a regime) shows the trace-replay case where sleeping
- * wins even without fast-forward.
+ * scheduler (poll, event-fine) under cycle-accurate sync with
+ * fast-forwarding off, so the entire difference comes from per-tile
+ * and per-component sleeping. At low rates most of the tile x cycle
+ * grid is idle: event-fine's cost tracks the handful of active tiles,
+ * and inside them only the components with work. At saturation every
+ * tile is busy every cycle and event-fine must stay within noise of
+ * polling (its wake bookkeeping is the only overhead). A bursty row
+ * (long fully-drained gaps, the Fig 7a regime) shows the trace-replay
+ * case where sleeping wins even without fast-forward.
  *
  * The cross-thread section then re-runs the low-rate lockstep config
  * at 2 and 4 shards: every cross-shard push wakes the consumer tile
@@ -26,11 +24,10 @@
  * docs/BENCHMARKS.md). Results must stay bitwise identical across
  * schedulers and thread counts (lockstep windows).
  *
- * Acceptance targets: >= 2x speedup for event over poll at rates
- * <= 0.05 flits/node/cycle on a 16x16 mesh (ISSUE 3); >= 2x speedup
- * for event-fine over event on the rate-0.01 rows at 16x16 and 32x32
- * (ISSUE 7, gated via the fine_over_event ratio rows); <= ~5%
- * regression at saturation.
+ * Gates: the fine_over_poll ratio rows (best-of-3 per scheduler) on
+ * the rate-0.01 rows keep per-component sleeping measured against the
+ * polling reference; the wall rows guard both schedulers; saturation
+ * rows bound the wake bookkeeping's overhead.
  *
  * --quick runs the CI-smoke subset (8x8 mesh, shortened horizons)
  * with unchanged row names; --json=PATH feeds the perf-regression
@@ -87,13 +84,10 @@ sweep_row(std::uint32_t side, const char *pattern, double rate,
 {
     Sample poll = run_one(side, pattern, rate, burst_period,
                           sim::Schedule::Poll, cycles, /*threads=*/1);
-    Sample event = run_one(side, pattern, rate, burst_period,
-                           sim::Schedule::Event, cycles, /*threads=*/1);
     Sample fine = run_one(side, pattern, rate, burst_period,
                           sim::Schedule::EventFine, cycles,
                           /*threads=*/1);
-    if (poll.delivered != event.delivered ||
-        poll.delivered != fine.delivered)
+    if (poll.delivered != fine.delivered)
         fatal("scheduler changed results: delivered flits diverged");
     // us/flit: wall cost per delivered flit under event-fine — the
     // flatter this stays as rate drops, the closer the scheduler is to
@@ -102,33 +96,26 @@ sweep_row(std::uint32_t side, const char *pattern, double rate,
         fine.delivered ? 1e6 * fine.wall_s /
                              static_cast<double>(fine.delivered)
                        : 0.0;
-    std::printf(
-        "%ux%u,%s,%s,%.3f,%lu,%.3f,%.3f,%.3f,%.1f%%,%.2f,%.2f,%.2f\n",
-        side, side, pattern, burst_period ? "burst" : "rate", rate,
-        static_cast<unsigned long>(burst_period), poll.wall_s,
-        event.wall_s, fine.wall_s, 100.0 * event.skipped_frac,
-        poll.wall_s / event.wall_s, event.wall_s / fine.wall_s,
-        us_per_flit);
+    std::printf("%ux%u,%s,%s,%.3f,%lu,%.3f,%.3f,%.1f%%,%.2f,%.2f\n",
+                side, side, pattern, burst_period ? "burst" : "rate",
+                rate, static_cast<unsigned long>(burst_period),
+                poll.wall_s, fine.wall_s, 100.0 * fine.skipped_frac,
+                poll.wall_s / fine.wall_s, us_per_flit);
     char name[96];
-    std::snprintf(name, sizeof name, "%ux%u_%s_%s%.2f_event_wall_s",
-                  side, side, pattern, burst_period ? "burst" : "r",
-                  rate);
-    report.lower_is_better(name, event.wall_s);
     std::snprintf(name, sizeof name, "%ux%u_%s_%s%.2f_fine_wall_s",
                   side, side, pattern, burst_period ? "burst" : "r",
                   rate);
     report.lower_is_better(name, fine.wall_s);
     if (gate_fine_ratio) {
-        // The ISSUE 7 acceptance ratio: event-fine speedup over the
-        // tile-granularity event scheduler on the low-rate rows. A
-        // ratio of two sub-second walls jitters far beyond either
-        // wall row, so gate on best-of-3 per scheduler (timing noise
-        // is one-sided).
-        double ev = event.wall_s;
+        // Event-fine speedup over the polling reference on the
+        // low-rate rows. A ratio of two sub-second walls jitters far
+        // beyond either wall row, so gate on best-of-3 per scheduler
+        // (timing noise is one-sided).
+        double po = poll.wall_s;
         double fi = fine.wall_s;
         for (int rep = 0; rep < 2; ++rep) {
-            ev = std::min(ev, run_one(side, pattern, rate, burst_period,
-                                      sim::Schedule::Event, cycles,
+            po = std::min(po, run_one(side, pattern, rate, burst_period,
+                                      sim::Schedule::Poll, cycles,
                                       /*threads=*/1)
                                   .wall_s);
             fi = std::min(fi, run_one(side, pattern, rate, burst_period,
@@ -137,17 +124,17 @@ sweep_row(std::uint32_t side, const char *pattern, double rate,
                                   .wall_s);
         }
         std::snprintf(name, sizeof name,
-                      "%ux%u_%s_r%.2f_fine_over_event", side, side,
+                      "%ux%u_%s_r%.2f_fine_over_poll", side, side,
                       pattern, rate);
-        report.higher_is_better(name, ev / fi);
+        report.higher_is_better(name, po / fi);
     }
 }
 
 /**
  * Cross-thread lockstep rows: the wake-mailbox hand-off. Lockstep
  * windows keep the result bitwise identical at every thread count and
- * drain each shard's mailbox at every cycle barrier, so the event rows
- * pay one mailbox round-trip per cross-shard push.
+ * drain each shard's mailbox at every cycle barrier, so the event-fine
+ * rows pay one mailbox round-trip per cross-shard push.
  */
 void
 cross_thread_row(std::uint32_t side, double rate, Cycle cycles,
@@ -169,18 +156,11 @@ cross_thread_row(std::uint32_t side, double rate, Cycle cycles,
             [](const Sample &s) { return -s.wall_s; });
     };
     const Sample poll = fastest(sim::Schedule::Poll);
-    const Sample event = fastest(sim::Schedule::Event);
     const Sample fine = fastest(sim::Schedule::EventFine);
-    std::printf(
-        "%ux%u,uniform,xthread%u,%.3f,0,%.3f,%.3f,%.3f,%.1f%%,%.2f,"
-        "%.2f,-\n",
-        side, side, threads, rate, poll.wall_s, event.wall_s,
-        fine.wall_s, 100.0 * event.skipped_frac,
-        poll.wall_s / event.wall_s, event.wall_s / fine.wall_s);
+    std::printf("%ux%u,uniform,xthread%u,%.3f,0,%.3f,%.3f,%.1f%%,%.2f,-\n",
+                side, side, threads, rate, poll.wall_s, fine.wall_s,
+                100.0 * fine.skipped_frac, poll.wall_s / fine.wall_s);
     char name[96];
-    std::snprintf(name, sizeof name, "xthread_t%u_event_wall_s",
-                  threads);
-    report.lower_is_better(name, event.wall_s);
     std::snprintf(name, sizeof name, "xthread_t%u_fine_wall_s",
                   threads);
     report.lower_is_better(name, fine.wall_s);
@@ -225,15 +205,14 @@ main(int argc, char **argv)
 
     std::printf("# Event-driven vs polling shard scheduling "
                 "(cycle-accurate, no fast-forward)\n");
-    std::printf("mesh,pattern,mode,rate,burst_period,poll_s,event_s,"
-                "fine_s,tile_cycles_slept,event_speedup,fine_speedup,"
-                "fine_us_per_flit\n");
+    std::printf("mesh,pattern,mode,rate,burst_period,poll_s,fine_s,"
+                "tile_cycles_slept,fine_speedup,fine_us_per_flit\n");
 
     // Injection-rate sweep: O(active) scaling against offered load.
     // Two patterns bracket the busy-tile fraction a given rate
     // produces: shuffle (short paths, few busy routers per flit) and
     // uniform (near the longest average paths on a mesh). The
-    // rate-0.01 uniform rows carry the event-fine acceptance ratio.
+    // rate-0.01 rows carry the gated fine_over_poll ratio.
     for (std::uint32_t side : cli.quick
                                   ? std::vector<std::uint32_t>{8u}
                                   : std::vector<std::uint32_t>{8u, 16u})
@@ -260,17 +239,16 @@ main(int argc, char **argv)
     // Giant meshes (ISSUE 6): the arena-backed layout's target. Rows
     // use the O(N)-flow shuffle pattern — all-pairs flow tables are
     // quadratic in nodes and would swamp construction at this size —
-    // at a low rate where the event scheduler's O(active) cycles and
-    // the packed per-shard slabs both matter. The bytes/tile rows pin
+    // at a low rate where event-fine's O(active) cycles and the
+    // packed per-shard slabs both matter. The bytes/tile rows pin
     // the construction footprint itself (deterministic, gated
     // exactly).
     for (std::uint32_t side : {32u, 64u}) {
         const Cycle cycles = cli.quick ? (side == 32 ? 1500 : 400)
                                        : (side == 32 ? 3000 : 1000);
         sweep_row(side, "shuffle", 0.02, /*burst_period=*/0, cycles);
-        // The 32x32 low-rate acceptance row (ISSUE 7): most of the
-        // grid idle, the per-tile cost dominated by the handful of
-        // in-flight flits.
+        // The 32x32 low-rate ratio row: most of the grid idle, the
+        // per-tile cost dominated by the handful of in-flight flits.
         if (side == 32)
             sweep_row(side, "shuffle", 0.01, /*burst_period=*/0,
                       cycles, /*gate_fine_ratio=*/true);
@@ -294,10 +272,9 @@ main(int argc, char **argv)
                              ref.delivered);
     }
 
-    std::printf("# event_speedup = poll_s / event_s; fine_speedup = "
-                "event_s / fine_s; tile_cycles_slept is the fraction "
-                "of the tile x cycle grid not ticked; xthreadN rows "
-                "run N lockstep shards\n");
+    std::printf("# fine_speedup = poll_s / fine_s; tile_cycles_slept is "
+                "the fraction of the tile x cycle grid event-fine did "
+                "not tick; xthreadN rows run N lockstep shards\n");
     report.write_if_requested(cli);
     return 0;
 }

@@ -58,7 +58,7 @@ sweep_run_options(const SweepConfig &sc)
     sim::RunOptions ro;
     ro.max_cycles = sc.max_cycles;
     ro.stop_when_done = true;
-    ro.schedule = "event";
+    ro.schedule = "event-fine";
     return ro;
 }
 

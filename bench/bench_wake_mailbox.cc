@@ -52,7 +52,7 @@ mwakes_per_s(unsigned producers, std::uint64_t per_producer)
             static_cast<NodeId>(i), /*seed=*/i + 1));
         shard.add_tile(tiles.back().get());
     }
-    shard.prepare_run(sim::Schedule::Event);
+    shard.prepare_run(sim::Schedule::EventFine);
     shard.posedge();
     shard.negedge(); // component-less tiles all retire to the heap
 
@@ -106,7 +106,7 @@ cadenced_mwakes_per_s(std::uint64_t total, std::uint32_t burst)
             static_cast<NodeId>(i), /*seed=*/i + 1));
         shard.add_tile(tiles.back().get());
     }
-    shard.prepare_run(sim::Schedule::Event);
+    shard.prepare_run(sim::Schedule::EventFine);
     shard.posedge();
     shard.negedge();
 

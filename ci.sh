@@ -2,12 +2,15 @@
 # Tier-1 verify wrapper: configure, build, test, and (when available)
 # check formatting. Mirrors .github/workflows/ci.yml for local use.
 #
-#   ./ci.sh            # regular build, all three shard schedulers,
-#                      # plus the full differential sweep (`long`)
+#   ./ci.sh            # regular build, both shard schedulers (poll,
+#                      # event-fine), plus the full differential
+#                      # sweep (`long`)
 #   ./ci.sh --tsan     # ThreadSanitizer build of the test suite
 #   ./ci.sh --asan     # AddressSanitizer+UBSan build of the suite
 #   ./ci.sh --bench    # perf-regression smoke: bench --quick --json vs
 #                      # bench/baselines/, hard-gated (>15% fails)
+#   ./ci.sh --e2e      # end-to-end benchmark checks: digests,
+#                      # conservation and determinism on short runs
 #   ./ci.sh --coverage # gcov line-coverage run with a summary artifact
 #   ./ci.sh --profile  # frame-pointer build + gprofng experiment over
 #                      # the low-rate event-fine workload; summary at
@@ -20,24 +23,20 @@ JOBS="${JOBS:-$(nproc)}"
 if [[ "${1:-}" == "--tsan" ]]; then
     # ThreadSanitizer leg: the lock-free VC-buffer fabric, the MPSC
     # wake mailbox and the engine's cross-shard seams must be
-    # race-clean. Run under the event scheduler — it exercises the
-    # cross-thread wake path on top of the ring protocols — with
-    # second-deadlock detection on.
-    # Both event schedulers get a leg; the differential harness inside
-    # each run covers poll/event/event-fine explicitly, so the env
-    # loop only needs the wake-path variants. The full `long` sweep
-    # stays in the uninstrumented run (it would dominate a sanitizer
-    # leg); its quick subset runs here.
+    # race-clean. Run under the event-fine scheduler — it exercises
+    # the cross-thread wake path on top of the ring protocols — with
+    # second-deadlock detection on. The differential harness inside
+    # the run covers poll and event-fine explicitly. The full `long`
+    # sweep stays in the uninstrumented run (it would dominate a
+    # sanitizer leg); its quick subset runs here.
     cmake -B build-tsan -S . -DHORNET_TSAN=ON
     cmake --build build-tsan -j "$JOBS"
-    for schedule in event event-fine; do
-        echo "== ctest (ThreadSanitizer, HORNET_SCHEDULE=$schedule) =="
-        (cd build-tsan &&
-             HORNET_SCHEDULE="$schedule" \
-                 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-                 ctest --output-on-failure --no-tests=error -LE long \
-                 -j "$JOBS")
-    done
+    echo "== ctest (ThreadSanitizer, HORNET_SCHEDULE=event-fine) =="
+    (cd build-tsan &&
+         HORNET_SCHEDULE=event-fine \
+             TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+             ctest --output-on-failure --no-tests=error -LE long \
+             -j "$JOBS")
     echo "TSAN OK"
     exit 0
 fi
@@ -45,19 +44,30 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
     # AddressSanitizer + UBSan leg: heap/stack misuse and undefined
     # behaviour (notably misuse of the over-aligned fabric/mailbox
-    # types) across the same full suite, under the event scheduler.
+    # types) across the same full suite, under event-fine.
     cmake -B build-asan -S . -DHORNET_ASAN=ON
     cmake --build build-asan -j "$JOBS"
-    for schedule in event event-fine; do
-        echo "== ctest (ASan+UBSan, HORNET_SCHEDULE=$schedule) =="
-        (cd build-asan &&
-             HORNET_SCHEDULE="$schedule" \
-                 ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
-                 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-                 ctest --output-on-failure --no-tests=error -LE long \
-                 -j "$JOBS")
-    done
+    echo "== ctest (ASan+UBSan, HORNET_SCHEDULE=event-fine) =="
+    (cd build-asan &&
+         HORNET_SCHEDULE=event-fine \
+             ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
+             UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
+             ctest --output-on-failure --no-tests=error -LE long \
+             -j "$JOBS")
     echo "ASAN OK"
+    exit 0
+fi
+
+if [[ "${1:-}" == "--e2e" ]]; then
+    # End-to-end benchmark checks (bench/e2e/README.md): short runs of
+    # the workloads whose checks are exact — pinned digests,
+    # conservation, run-to-run determinism — so a break shows before
+    # a full benchmark run. mesh32-loose-4t stays out: its accuracy
+    # check depends on host load. run.sh exits non-zero naming any
+    # failed check.
+    bench/e2e/run.sh --seconds=1 --workload=mesh32-sparse \
+        --workload=mesh16-saturated --workload=mesh32-lockstep-4t
+    echo "E2E OK"
     exit 0
 fi
 
@@ -171,11 +181,11 @@ fi
 
 cmake -B build -S .
 cmake --build build -j "$JOBS"
-# All three shard schedulers must stay green (and bitwise identical —
+# Both shard schedulers must stay green (and bitwise identical —
 # docs/ENGINE.md, "Event-driven shards" / "Component-granularity
 # wakes"). The `long` differential sweep ignores the env (it sets
 # schedules explicitly), so it runs once, outside the loop.
-for schedule in poll event event-fine; do
+for schedule in poll event-fine; do
     echo "== ctest (HORNET_SCHEDULE=$schedule) =="
     (cd build &&
          HORNET_SCHEDULE="$schedule" \

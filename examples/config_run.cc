@@ -10,49 +10,22 @@
  * With no arguments a built-in demo config is used. The [sim] section
  * of the config selects the engine parameters (threads, horizon, sync
  * backend — including "adaptive"); the optional positional arguments
- * override it for quick sweeps.
+ * override it for quick sweeps. A key nothing reads (a typo, or a key
+ * of another topology kind) fails the run, listing every such key.
  */
 #include <cstdio>
 #include <cstdlib>
 
+#include "demo_config.h"
 #include "traffic/system_builder.h"
 
 using namespace hornet;
-
-namespace {
-
-const char *kDemoConfig = R"(
-# demo: transpose on an 8x8 mesh with O1TURN and EDVCA
-[topology]
-kind = mesh
-width = 8
-height = 8
-
-[network]
-vcs = 4
-vc_capacity = 4
-vca = edvca
-
-[routing]
-scheme = o1turn
-
-[traffic]
-kind = synthetic
-pattern = transpose
-rate = 0.08
-packet_size = 8
-
-[sim]
-seed = 42
-)";
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     Config cfg = argc > 1 ? Config::from_file(argv[1])
-                          : Config::from_string(kDemoConfig);
+                          : Config::from_string(examples::kDemoConfig);
 
     sim::RunOptions opts = traffic::run_options_from_config(cfg);
     if (argc > 2)
@@ -72,6 +45,7 @@ main(int argc, char **argv)
     }
 
     auto sys = traffic::build_system(cfg);
+    cfg.reject_unread_keys();
     const std::string sync_desc =
         opts.sync.empty()
             ? "period " + std::to_string(opts.sync_period)

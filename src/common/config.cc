@@ -102,46 +102,54 @@ Config::has(const std::string &key) const
     return values_.count(key) != 0;
 }
 
+const std::string *
+Config::lookup(const std::string &key) const
+{
+    read_.insert(key);
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+}
+
 std::string
 Config::get_string(const std::string &key, const std::string &def) const
 {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
+    const std::string *v = lookup(key);
+    return v == nullptr ? def : *v;
 }
 
 std::int64_t
 Config::get_int(const std::string &key, std::int64_t def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *s = lookup(key);
+    if (s == nullptr)
         return def;
     char *end = nullptr;
-    std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal(strcat("config key '", key, "': bad integer '", it->second, "'"));
+    std::int64_t v = std::strtoll(s->c_str(), &end, 0);
+    if (end == s->c_str() || *end != '\0')
+        fatal(strcat("config key '", key, "': bad integer '", *s, "'"));
     return v;
 }
 
 double
 Config::get_double(const std::string &key, double def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *s = lookup(key);
+    if (s == nullptr)
         return def;
     char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal(strcat("config key '", key, "': bad number '", it->second, "'"));
+    double v = std::strtod(s->c_str(), &end);
+    if (end == s->c_str() || *end != '\0')
+        fatal(strcat("config key '", key, "': bad number '", *s, "'"));
     return v;
 }
 
 bool
 Config::get_bool(const std::string &key, bool def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *s = lookup(key);
+    if (s == nullptr)
         return def;
-    const std::string &v = it->second;
+    const std::string &v = *s;
     if (v == "true" || v == "1" || v == "yes" || v == "on")
         return true;
     if (v == "false" || v == "0" || v == "no" || v == "off")
@@ -152,10 +160,10 @@ Config::get_bool(const std::string &key, bool def) const
 std::string
 Config::require_string(const std::string &key) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *v = lookup(key);
+    if (v == nullptr)
         fatal("missing required config key: " + key);
-    return it->second;
+    return *v;
 }
 
 std::int64_t
@@ -178,11 +186,11 @@ std::vector<std::int64_t>
 Config::get_int_list(const std::string &key,
                      const std::vector<std::int64_t> &def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *s = lookup(key);
+    if (s == nullptr)
         return def;
     std::vector<std::int64_t> out;
-    std::istringstream in(it->second);
+    std::istringstream in(*s);
     std::string item;
     while (std::getline(in, item, ',')) {
         item = trim(item);
@@ -213,6 +221,21 @@ Config::get_enum(const std::string &key, const std::string &def,
     }
     fatal(strcat("config key '", key, "': bad value '", v,
                  "' (expected one of: ", expected, ")"));
+}
+
+void
+Config::reject_unread_keys() const
+{
+    std::string unread;
+    for (const auto &kv : values_) {
+        if (read_.count(kv.first) != 0)
+            continue;
+        if (!unread.empty())
+            unread += ", ";
+        unread += kv.first;
+    }
+    if (!unread.empty())
+        fatal("config: unknown key(s) nothing read: " + unread);
 }
 
 std::vector<std::string>

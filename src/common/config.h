@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,11 @@ namespace hornet {
  * Values are stored as strings; typed getters parse on access and
  * fatal() on malformed values. Getters with a default never fail on a
  * missing key; require_* getters fatal() when the key is absent.
+ *
+ * Every getter records the key it consulted, so a consumer can reject
+ * keys nothing read (typos such as `schedual`) once it has finished
+ * reading; see reject_unread_keys(). The record makes getters unsafe
+ * to call concurrently on one Config.
  */
 class Config
 {
@@ -80,6 +86,15 @@ class Config
     std::string get_enum(const std::string &key, const std::string &def,
                          const std::vector<std::string> &allowed) const;
 
+    /**
+     * fatal() listing every stored key no getter has consulted, when
+     * there is one. Call after everything that interprets this config
+     * has run (e.g. traffic::run_options_from_config and
+     * traffic::build_system), so an unknown or misspelled key fails
+     * loudly instead of silently falling back to a default.
+     */
+    void reject_unread_keys() const;
+
     /** All keys in sorted order (for dumps and tests). */
     std::vector<std::string> keys() const;
 
@@ -87,7 +102,12 @@ class Config
     std::string to_string() const;
 
   private:
+    /** Stored value of @p key (null when absent); records the read. */
+    const std::string *lookup(const std::string &key) const;
+
     std::map<std::string, std::string> values_;
+    /// Keys consulted by a getter (present or not).
+    mutable std::set<std::string> read_;
 };
 
 } // namespace hornet

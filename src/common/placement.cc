@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <thread>
 
 #include "common/log.h"
@@ -159,17 +160,25 @@ for_each_group(const NodePlacement &p,
         return;
     }
     std::vector<std::thread> workers;
+    std::vector<std::exception_ptr> errors(p.groups);
     workers.reserve(p.groups);
     for (unsigned g = 0; g < p.groups; ++g) {
-        workers.emplace_back([&p, &fn, g] {
+        workers.emplace_back([&p, &fn, &errors, g] {
             // Pin before the first write so the pages the arena touches
             // are faulted in on the group's own core (first touch).
             apply_thread_pin(p.pin, g, p.groups);
-            fn(g);
+            try {
+                fn(g);
+            } catch (...) {
+                errors[g] = std::current_exception();
+            }
         });
     }
     for (auto &w : workers)
         w.join();
+    for (const auto &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 } // namespace hornet::common

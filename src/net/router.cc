@@ -15,6 +15,10 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
 {
     if (rng_ == nullptr || stats_ == nullptr)
         fatal("router requires rng and stats sinks");
+    if (cfg_.net_vcs > kMaxVcsPerPort || cfg_.cpu_vcs > kMaxVcsPerPort)
+        fatal(strcat("router ", id_, ": at most ", kMaxVcsPerPort,
+                     " VCs per port (one occupancy-mask word), got ",
+                     cfg_.net_vcs, " network / ", cfg_.cpu_vcs, " CPU"));
     table_ = RoutingTable(id);
 
     // The router's buffers and egress ports go back-to-back into the
@@ -71,12 +75,10 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
     cpu_ep->vc_state.resize(cfg_.cpu_vcs);
     egress_.push_back(cpu_ep);
 
-    // Fine-grain scheduling plumbing: one occupancy-mask word per
-    // ingress port and one wake record per ingress (port, vc). Both
-    // are sized here, once, and never resized — the records are wired
-    // into the VC buffers by address when set_fine(true) interposes
-    // them.
-    fine_supported_ = cfg_.net_vcs <= 64 && cfg_.cpu_vcs <= 64;
+    // One occupancy-mask word per ingress port and one wake record per
+    // ingress (port, vc), each record installed as its buffer's wake
+    // target for the router's lifetime. Both are sized here, once,
+    // and never resized: the buffers point at the records.
     ingress_mask_ =
         std::make_unique<std::atomic<std::uint64_t>[]>(ingress_.size());
     for (std::size_t p = 0; p < ingress_.size(); ++p)
@@ -91,39 +93,34 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
             wake_records_[r].router = this;
             wake_records_[r].port = p;
             wake_records_[r].vc = v;
+            ingress_[p].vcs[v]->set_wake_target(&wake_records_[r]);
         }
     }
 }
 
 void
-Router::set_fine(bool on)
+Router::forward_ingress_wakes(Wakeable *consumer)
 {
-    if (on == fine_)
-        return;
-    if (on && !fine_supported_)
-        panic(strcat("router ", id_,
-                     ": fine-grain mode needs <= 64 VCs per port"));
-    std::size_t r = 0;
+    // Records are port-major and the network ports come first, so the
+    // first num_net_ports_ * net_vcs records are theirs.
+    const std::size_t net_records =
+        std::size_t{num_net_ports_} * cfg_.net_vcs;
+    for (std::size_t r = 0; r < net_records; ++r)
+        wake_records_[r].next = consumer;
+}
+
+bool
+Router::ingress_masks_cover_buffers() const
+{
     for (PortId p = 0; p < ingress_.size(); ++p) {
-        std::uint64_t mask = 0;
-        for (VcId v = 0; v < ingress_[p].vcs.size(); ++v, ++r) {
-            VcBuffer *b = ingress_[p].vcs[v];
-            IngressWake &rec = wake_records_[r];
-            if (on) {
-                if (b->size_raw() != 0)
-                    mask |= std::uint64_t{1} << v;
-                rec.next = b->wake_target();
-                b->set_wake_target(&rec);
-            } else {
-                b->set_wake_target(rec.next);
-                rec.next = nullptr;
-            }
-        }
-        ingress_mask_[p].store(on ? mask : 0, std::memory_order_release);
+        const std::uint64_t m =
+            ingress_mask_[p].load(std::memory_order_acquire);
+        for (VcId v = 0; v < ingress_[p].vcs.size(); ++v)
+            if (ingress_[p].vcs[v]->size_raw() != 0 &&
+                (m & (std::uint64_t{1} << v)) == 0)
+                return false;
     }
-    pending_wake_.store(kNoEvent, std::memory_order_release);
-    popped_dirty_.clear();
-    fine_ = on;
+    return true;
 }
 
 void
@@ -222,6 +219,7 @@ Router::reset_run_state()
         }
     }
     pending_releases_.clear();
+    pending_wake_.store(kNoEvent, std::memory_order_relaxed);
 }
 
 std::uint32_t
@@ -431,48 +429,37 @@ Router::posedge(Cycle now)
     // flit is at the front of a VC buffer. The order in which
     // next-in-line packets are considered is randomized (paper II-A5).
     //
-    // Fine-grain mode walks the occupancy masks instead of every
-    // (port, vc) — bit order is ascending, so the candidate set and
-    // hence every PRNG draw below is identical to the full scan, which
-    // also only ever finds occupied buffers.
+    // The walk visits only the occupancy masks' set bits, in ascending
+    // (port, vc) order — the order of a full scan, which likewise only
+    // ever finds occupied buffers — so the candidate set, and hence
+    // every PRNG draw below, is that of a scan over every buffer.
     // ------------------------------------------------------------------
     auto &cands = scratch_candidates_;
     cands.clear();
-    if (fine_) {
-        for (PortId p = 0; p < ingress_.size(); ++p) {
-            IngressPort &ip = ingress_[p];
-            std::uint64_t m =
-                ingress_mask_[p].load(std::memory_order_acquire);
-            while (m != 0) {
-                const VcId v = static_cast<VcId>(std::countr_zero(m));
-                m &= m - 1;
-                if (ip.vcs[v]->size_raw() == 0) {
-                    settle_ingress_bit(p, v); // stale bit: drained
-                    continue;
-                }
-                if (ip.vcs[v]->front_visible(now).has_value())
-                    cands.emplace_back(p, v);
+    for (PortId p = 0; p < ingress_.size(); ++p) {
+        IngressPort &ip = ingress_[p];
+        std::uint64_t m = ingress_mask_[p].load(std::memory_order_acquire);
+        while (m != 0) {
+            const VcId v = static_cast<VcId>(std::countr_zero(m));
+            m &= m - 1;
+            if (ip.vcs[v]->size_raw() == 0) {
+                settle_ingress_bit(p, v); // stale bit: drained
+                continue;
             }
+            if (ip.vcs[v]->front_visible(now).has_value())
+                cands.emplace_back(p, v);
         }
-        // Nothing routable and nothing to release: the tick reduces to
-        // the demand publish below. (Stage A/B over an empty candidate
-        // set touch no state and draw nothing from the PRNG, so this
-        // early exit is bitwise neutral on every scheduler.)
-        if (cands.empty() && pending_releases_.empty()) {
-            for (PortId e = 0; e < egress_.size(); ++e) {
-                egress_[e]->demand.store(0, std::memory_order_release);
-                publish_free_space_snapshot(e);
-            }
-            return;
+    }
+    // Nothing routable and nothing to release: the tick reduces to the
+    // demand publish below. (Stage A/B over an empty candidate set
+    // touch no state and draw nothing from the PRNG, so this early
+    // exit is bitwise neutral.)
+    if (cands.empty() && pending_releases_.empty()) {
+        for (PortId e = 0; e < egress_.size(); ++e) {
+            egress_[e]->demand.store(0, std::memory_order_release);
+            publish_free_space_snapshot(e);
         }
-    } else {
-        for (PortId p = 0; p < ingress_.size(); ++p) {
-            IngressPort &ip = ingress_[p];
-            for (VcId v = 0; v < ip.vcs.size(); ++v) {
-                if (ip.vcs[v]->front_visible(now).has_value())
-                    cands.emplace_back(p, v);
-            }
-        }
+        return;
     }
     rng_->shuffle(cands);
 
@@ -551,8 +538,7 @@ Router::posedge(Cycle now)
 
         // ST: move the flit across the crossbar and onto the link.
         Flit f = ip.vcs[v]->pop();
-        if (fine_)
-            popped_dirty_.emplace_back(p, v);
+        popped_dirty_.emplace_back(p, v);
         in_port_used[p] = 1;
         --eg_bw_left[st.out_port];
         out_vc_used[vc_base[st.out_port] + st.out_vc] = 1;
@@ -617,23 +603,16 @@ Router::posedge(Cycle now)
 void
 Router::negedge(Cycle)
 {
-    if (fine_) {
-        // Only buffers popped this cycle hold staged pops (the one-
-        // flit-per-ingress-port crossbar constraint bounds the list by
-        // the port count); committing an un-popped buffer is a no-op,
-        // so skipping the full scan is bitwise neutral. Settling after
-        // the commit retires the occupancy bit of drained buffers.
-        for (auto [p, v] : popped_dirty_) {
-            ingress_[p].vcs[v]->commit_negedge();
-            if (ingress_[p].vcs[v]->size_raw() == 0)
-                settle_ingress_bit(p, v);
-        }
-        popped_dirty_.clear();
-    } else {
-        for (auto &ip : ingress_)
-            for (auto &b : ip.vcs)
-                b->commit_negedge();
+    // Only buffers popped this cycle hold staged pops (the one-flit-
+    // per-ingress-port crossbar constraint bounds the list by the port
+    // count); committing an un-popped buffer would be a no-op. Settling
+    // after the commit retires the occupancy bit of drained buffers.
+    for (auto [p, v] : popped_dirty_) {
+        ingress_[p].vcs[v]->commit_negedge();
+        if (ingress_[p].vcs[v]->size_raw() == 0)
+            settle_ingress_bit(p, v);
     }
+    popped_dirty_.clear();
     for (auto [p, v] : pending_releases_)
         egress_[p]->vc_state[v].owned = false;
     pending_releases_.clear();
@@ -642,33 +621,21 @@ Router::negedge(Cycle)
 bool
 Router::has_buffered_flits() const
 {
-    if (fine_) {
-        // Exact, not conservative: a set bit only counts after it
-        // survives a settle against the buffer, so the answer always
-        // matches the full scan (the fold feeds Tile::busy and hence
-        // fast-forward decisions, which must not diverge between
-        // schedulers).
-        for (PortId p = 0; p < ingress_.size(); ++p) {
-            std::uint64_t m =
-                ingress_mask_[p].load(std::memory_order_acquire);
-            while (m != 0) {
-                const VcId v = static_cast<VcId>(std::countr_zero(m));
-                m &= m - 1;
-                if (ingress_[p].vcs[v]->size_raw() != 0)
-                    return true;
-                settle_ingress_bit(p, v);
-            }
-        }
-        return has_ejection_flits();
-    }
-    for (const auto &ip : ingress_)
-        for (const auto &b : ip.vcs)
-            if (b->size_raw() != 0)
+    // Exact, not conservative: a set bit only counts after it survives
+    // a settle against the buffer, so the answer always matches a full
+    // scan (the fold feeds Tile::busy and hence fast-forward decisions,
+    // which must not depend on the scheduler).
+    for (PortId p = 0; p < ingress_.size(); ++p) {
+        std::uint64_t m = ingress_mask_[p].load(std::memory_order_acquire);
+        while (m != 0) {
+            const VcId v = static_cast<VcId>(std::countr_zero(m));
+            m &= m - 1;
+            if (ingress_[p].vcs[v]->size_raw() != 0)
                 return true;
-    for (const auto &b : ejection_)
-        if (b->size_raw() != 0)
-            return true;
-    return false;
+            settle_ingress_bit(p, v);
+        }
+    }
+    return has_ejection_flits();
 }
 
 } // namespace hornet::net

@@ -213,48 +213,50 @@ class Router : public sim::Clocked
     }
 
     /** Any flit physically buffered here (fast-forward test)?
-     *  Includes ejection buffers not yet drained by the bridge. In
-     *  fine-grain mode the ingress half of the answer comes from the
-     *  occupancy masks (O(occupied VCs), exact — stale bits are
-     *  settled against the buffers before answering). */
+     *  Includes ejection buffers not yet drained by the bridge. The
+     *  ingress half of the answer comes from the occupancy masks
+     *  (O(occupied VCs), exact — stale bits are settled against the
+     *  buffers before answering). */
     bool has_buffered_flits() const;
 
     // ------------------------------------------------------------------
-    // Fine-grain (component-granularity) event scheduling
-    // (docs/ENGINE.md, "Component-granularity wakes").
+    // Occupancy masks and ingress wake records (docs/ENGINE.md,
+    // "Component-granularity wakes").
     // ------------------------------------------------------------------
 
-    /**
-     * True when this router can run in fine-grain mode: the per-port
-     * occupancy masks are 64 bits wide, so every ingress port must
-     * have at most 64 VCs. Routers beyond that are simply never
-     * retired by the tile's fine scheduler (they keep the full scans),
-     * which is correct, just not faster.
-     */
-    bool fine_supported() const { return fine_supported_; }
+    /** Most VCs an ingress port may have: one occupancy-mask word per
+     *  port. The constructor rejects larger configurations. */
+    static constexpr std::uint32_t kMaxVcsPerPort = 64;
 
     /**
-     * Enter or leave fine-grain mode. On enable the per-port ingress
-     * occupancy masks are rebuilt from the buffers' current contents
-     * and a wake record is interposed between each ingress VC buffer
-     * and its previous wake target, so that every producer push also
-     * lands in the masks and in the pending-wake cycle; on disable the
-     * previous wake targets are restored. Must be called while no
-     * simulation thread touches the router (the engine calls it from
-     * the serial prepare/finish phases of a run), and only on routers
-     * with fine_supported().
+     * Forward the wakes of every network-port ingress buffer to
+     * @p consumer (sim::Tile::set_router wires the owning tile here);
+     * the CPU injection port's records forward nowhere, because the
+     * tile's own bridge is their only producer. Every ingress buffer's
+     * wake target is this router's wake record for its (port, vc),
+     * installed by the constructor and never replaced: a producer push
+     * sets the occupancy bit and the pending wake cycle, then reaches
+     * @p consumer. Calling set_wake_target on an ingress buffer
+     * instead would bypass the record, lose mask bits and strand
+     * flits. Wiring time only (no simulation thread may touch the
+     * router).
      */
-    void set_fine(bool on);
+    void forward_ingress_wakes(Wakeable *consumer);
 
-    /** True while fine-grain mode is active. */
-    bool fine() const { return fine_; }
+    /**
+     * Reference full scan, for tests: true when every non-empty
+     * ingress buffer has its occupancy bit set — the invariant the
+     * mask walks in posedge() and has_buffered_flits() rely on. Owner
+     * thread, or while no simulation thread runs.
+     */
+    bool ingress_masks_cover_buffers() const;
 
     /**
      * Producer-side push note (any thread): a flit with arrival cycle
      * @p at was published into ingress buffer (@p port, @p vc). Sets
      * the (port, vc) occupancy bit and folds @p at into the pending
-     * wake cycle; called by the interposed ingress wake records on the
-     * pushing thread.
+     * wake cycle; called by the ingress wake records on the pushing
+     * thread.
      */
     void note_ingress_push(PortId port, VcId vc, Cycle at);
 
@@ -395,21 +397,21 @@ class Router : public sim::Clocked
     };
 
     /**
-     * Wake record interposed between one ingress VC buffer and its
-     * previous wake target while fine-grain mode is active. Producers
-     * notify on their own thread; the record marks the (port, vc)
-     * occupancy bit and the pending wake cycle on the router, then
-     * forwards the wake unchanged to the previous target (the owning
-     * tile for inter-tile buffers), so tile-level scheduling is
-     * untouched. One record per ingress (port, vc), allocated eagerly
-     * in the constructor and never moved (buffers point at them).
+     * Wake target of one ingress VC buffer. Producers notify on their
+     * own thread; the record marks the (port, vc) occupancy bit and
+     * the pending wake cycle on the router, then forwards the wake
+     * unchanged to `next` (the owning tile for network-port buffers,
+     * see forward_ingress_wakes), so tile-level scheduling is
+     * untouched.
+     * One record per ingress (port, vc), installed in the constructor
+     * and never moved (buffers point at them).
      */
     struct IngressWake : Wakeable
     {
         Router *router = nullptr;   ///< record owner
         PortId port = kInvalidPort; ///< ingress port of the buffer
         VcId vc = kInvalidVc;       ///< VC of the buffer
-        Wakeable *next = nullptr;   ///< previous wake target (may be null)
+        Wakeable *next = nullptr;   ///< forwarded-to target (may be null)
 
         /** Mark occupancy + pending wake, then forward to `next`. */
         void
@@ -488,19 +490,14 @@ class Router : public sim::Clocked
     /** (port, vc) pairs whose ownership releases at the next negedge. */
     std::vector<std::pair<PortId, VcId>> pending_releases_;
 
-    // -------- fine-grain scheduling state (see set_fine) ------------
-    /** Fine-grain mode active (owner thread; flipped serially). */
-    bool fine_ = false;
-    /** Every ingress port fits a 64-bit occupancy mask. */
-    bool fine_supported_ = true;
+    // -------- occupancy masks and wake records ----------------------
     /**
      * Per-ingress-port VC occupancy masks: bit v of word p is set when
      * buffer (p, v) may hold flits. Producers set bits (via the wake
      * records, any thread); the owner settles stale bits with
-     * settle_ingress_bit(). Maintained only while fine_ is active;
-     * mutable because the owner settles bits from const queries
-     * (has_buffered_flits) — the masks are scheduler bookkeeping, not
-     * simulation state.
+     * settle_ingress_bit(). Mutable because the owner settles bits
+     * from const queries (has_buffered_flits) — the masks are
+     * scheduling bookkeeping, not simulation state.
      */
     std::unique_ptr<std::atomic<std::uint64_t>[]> ingress_mask_;
     /** Earliest arrival posted by note_ingress_push since the last
@@ -510,8 +507,8 @@ class Router : public sim::Clocked
      *  sized in the ctor and never resized (buffers point into it). */
     std::vector<IngressWake> wake_records_;
     /** Ingress buffers popped this cycle (bounded by the one-flit-per-
-     *  ingress-port crossbar constraint); in fine mode the negedge
-     *  commits exactly these instead of scanning every buffer. */
+     *  ingress-port crossbar constraint); the negedge commits exactly
+     *  these instead of scanning every buffer. */
     std::vector<std::pair<PortId, VcId>> popped_dirty_;
 
     /** Scratch vectors reused across cycles to avoid allocation. */

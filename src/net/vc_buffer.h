@@ -124,16 +124,16 @@ class alignas(common::kCacheLineSize) VcBuffer
 
     /**
      * Register the consumer of this buffer for push-based wake-up
-     * (the event-driven scheduler seam; wired by sim::System). When
-     * set, every publication of flits — a direct push, or the flush
-     * of a staged batch — notifies @p consumer with the earliest
-     * arrival_cycle published, from the *producer's* thread. Null
-     * (the default) disables notification entirely.
+     * (the event-driven scheduler seam). When set, every publication
+     * of flits — a direct push, or the flush of a staged batch —
+     * notifies @p consumer with the earliest arrival_cycle published,
+     * from the *producer's* thread. Null (the default) disables
+     * notification entirely. A router's ingress buffers are wired to
+     * the router's wake records by its constructor and must not be
+     * re-targeted (see net::Router::forward_ingress_wakes); a tile
+     * wires its router's ejection buffers in sim::Tile::set_router.
      */
     void set_wake_target(Wakeable *consumer) { wake_ = consumer; }
-
-    /** The registered consumer wake target (null when unset). */
-    Wakeable *wake_target() const { return wake_; }
 
     // ------------------------------------------------------------------
     // Producer (upstream) side.

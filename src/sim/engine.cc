@@ -16,23 +16,22 @@ schedule_from_name(const std::string &name)
 {
     if (name == "poll")
         return Schedule::Poll;
-    if (name == "event")
-        return Schedule::Event;
     if (name == "event-fine")
         return Schedule::EventFine;
-    fatal("schedule must be \"poll\", \"event\" or \"event-fine\", "
-          "got \"" +
-          name + "\"");
+    if (name == "event")
+        fatal("schedule \"event\" was retired: use \"event-fine\" (it "
+              "also sleeps tiles, and idle components inside them)");
+    fatal("schedule must be \"poll\" or \"event-fine\", got \"" + name +
+          "\"");
 }
 
 namespace {
 
 /**
  * Scheduler selection when EngineOptions::schedule is unset: the
- * HORNET_SCHEDULE environment variable ("poll", "event" or
- * "event-fine"; unset or empty selects polling). This is how CI runs
- * the whole test suite under every scheduler without touching every
- * call site.
+ * HORNET_SCHEDULE environment variable ("poll" or "event-fine"; unset
+ * or empty selects polling). This is how CI runs the whole test suite
+ * under both schedulers without touching every call site.
  */
 Schedule
 env_schedule_default()
@@ -53,8 +52,7 @@ void
 Shard::prepare_run(Schedule sched, bool track_done)
 {
     ticks_ = 0;
-    event_ = sched != Schedule::Poll && !tiles_.empty();
-    fine_ = sched == Schedule::EventFine && !tiles_.empty();
+    event_ = sched == Schedule::EventFine && !tiles_.empty();
     track_done_ = track_done;
     // Same-shard buffers are accessed by this shard's thread only for
     // the whole run: select their unsynchronized fast path. Set here
@@ -92,13 +90,11 @@ Shard::prepare_run(Schedule sched, bool track_done)
     for (std::size_t i = 0; i < tiles_.size(); ++i) {
         tiles_[i]->set_sched_slot(i);
         tiles_[i]->set_wake_sink(this);
-        // Component-granularity mode: pinned tiles stay coarse (their
-        // owned links read neighbour state every cycle, outside the
-        // wake seam), everything else ticks only components with
-        // pending events. Tile::set_fine is itself a no-op on pinned
-        // tiles; the check just documents the contract.
-        if (fine_ && !tiles_[i]->pinned_awake())
-            tiles_[i]->set_fine(true);
+        // Component-granularity mode: every tile ticks only components
+        // with pending events, except the pinned ones, on which
+        // Tile::set_fine is a no-op (their owned links read neighbour
+        // state every cycle, outside the wake seam).
+        tiles_[i]->set_fine(true);
     }
 }
 
@@ -132,7 +128,6 @@ Shard::finish_run()
     wheel_.reset(now_);
     sleeping_not_done_ = 0;
     event_ = false;
-    fine_ = false;
 }
 
 // ----------------------------------------------------------------------
@@ -490,7 +485,8 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
         return 0;
 
     const unsigned T = static_cast<unsigned>(shards_.size());
-    const Schedule sched = opts.schedule.value_or(env_schedule_default());
+    const Schedule sched =
+        opts.schedule ? *opts.schedule : env_schedule_default();
     const Cycle start_cycle = shards_[0]->now();
 
     // Baselines for the per-run component-tick counters: the tiles'
@@ -635,8 +631,12 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
             // summaries: a flit this shard handed across a boundary is
             // reported busy by *this* shard (via cross_in_flight) until
             // the consumer commits it, so the leader can never observe
-            // an all-idle system with batched flits still in flight,
-            // whatever order the shards reach the rendezvous in.
+            // an all-idle system with flits still in flight, whatever
+            // order the shards reach the rendezvous in. That holds
+            // without batching too: under loose windows a slower
+            // producer can push after the consumer shard summarized,
+            // and a false all-idle lets fast-forward jump past the flit
+            // to the horizon, stranding it.
             if (batching)
                 my.flush_cross();
 
@@ -644,10 +644,7 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
             my.prepare_summaries();
             Summary &sum = sh.sums[tid].value;
             if (need_idle)
-                sum.busy =
-                    (my.busy() || (batching && my.cross_in_flight()))
-                        ? 1
-                        : 0;
+                sum.busy = (my.busy() || my.cross_in_flight()) ? 1 : 0;
             if (need_done)
                 sum.done = my.done() ? 1 : 0;
             if (need_next)
@@ -713,8 +710,7 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
     const Cycle end_cycle = shards_[0]->now();
 
     run_stats_ = EngineRunStats{};
-    run_stats_.event_driven = sched != Schedule::Poll;
-    run_stats_.event_fine = sched == Schedule::EventFine;
+    run_stats_.event_driven = sched == Schedule::EventFine;
     run_stats_.threads_pinned = pin != common::PinMode::None;
     run_stats_.ff_skipped_cycles = sh.ff_skipped;
     std::uint64_t comp_after = 0;

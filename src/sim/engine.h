@@ -16,27 +16,27 @@
  * sequential run is simply an Engine with a single shard — there is no
  * separate sequential code path.
  *
- * Each shard runs under one of three schedulers (EngineOptions::
+ * Each shard runs under one of two schedulers (EngineOptions::
  * schedule, orthogonal to the SyncPolicy):
  *
- *  - polling: every tile is ticked every cycle — O(tiles) per cycle;
- *  - event-driven: the shard keeps an *active set* of awake tiles plus
+ *  - polling: every tile is ticked every cycle — O(tiles) per cycle.
+ *    It is the reference semantics the differential tests compare
+ *    against.
+ *  - event-fine: the shard keeps an *active set* of awake tiles plus
  *    a timing wheel of (wake_cycle, tile) for the sleeping ones, ticks
  *    only the active set, and re-sorts lazily when a wake moves —
- *    O(active) per cycle. Sleeping is sound because ticking an idle
- *    tile is a no-op by construction, and pushes into a sleeping
- *    tile's VC buffers wake it through the Tile::notify_activity seam.
- *  - event-fine: event-driven, plus component granularity *inside*
- *    each awake tile — idle components (frontends between injections,
- *    routers with no buffered flits) are skipped individually, and
- *    the router's per-VC occupancy masks make its tick O(occupied
- *    VCs) instead of O(ports x VCs) (docs/ENGINE.md,
- *    "Component-granularity wakes").
+ *    O(active) per cycle. Inside each awake tile, idle components
+ *    (frontends between injections, routers with no buffered flits)
+ *    are skipped individually. Sleeping is sound because ticking an
+ *    idle tile or component is a no-op by construction, and pushes
+ *    into a sleeping tile's VC buffers wake it through the
+ *    Tile::notify_activity seam (docs/ENGINE.md, "Event-driven
+ *    shards" and "Component-granularity wakes").
  *
- * Results are bitwise identical across all three for lockstep windows
- * and single-shard runs; loose multi-shard windows keep their own
+ * Results are bitwise identical across both for lockstep windows and
+ * single-shard runs; loose multi-shard windows keep their own
  * scheduler-independent timing nondeterminism, with the same
- * conservation guarantees under every scheduler (docs/ENGINE.md,
+ * conservation guarantees under either scheduler (docs/ENGINE.md,
  * "Event-driven shards").
  */
 #ifndef HORNET_SIM_ENGINE_H
@@ -64,22 +64,21 @@ namespace hornet::sim {
 
 /**
  * Shard scheduler selection (see the file comment): polling ticks
- * every tile every cycle; event-driven ticks only awake tiles;
- * event-fine additionally skips idle components inside awake tiles.
- * All three produce bitwise-identical results for lockstep windows
- * and single-shard runs.
+ * every tile every cycle; event-fine ticks only awake tiles and, inside
+ * them, only awake components. Both produce bitwise-identical results
+ * for lockstep windows and single-shard runs.
  */
 enum class Schedule
 {
-    Poll,     ///< tick every tile every cycle
-    Event,    ///< tile-granularity wake scheduling
-    EventFine ///< component-granularity wake scheduling
+    Poll,     ///< tick every tile every cycle (the reference)
+    EventFine ///< tile- and component-granularity wake scheduling
 };
 
 /**
- * Parse a scheduler name: "poll", "event" or "event-fine" (the
- * spelling used by HORNET_SCHEDULE, RunOptions::schedule and the
- * `[sim] schedule` config key). Anything else is fatal.
+ * Parse a scheduler name: "poll" or "event-fine" (the spelling used by
+ * HORNET_SCHEDULE, RunOptions::schedule and the `[sim] schedule`
+ * config key). Anything else is fatal; the retired "event" gets a
+ * message naming its replacement.
  */
 Schedule schedule_from_name(const std::string &name);
 
@@ -102,7 +101,7 @@ Schedule schedule_from_name(const std::string &name);
  * the VC buffer's unsynchronized fast path (docs/ENGINE.md,
  * "VcBuffer memory model").
  *
- * Under the event-driven scheduler the shard additionally owns the
+ * Under the event-fine scheduler the shard additionally owns the
  * wake bookkeeping for its tiles: the active set (ticked each cycle,
  * kept in node-id order so tick order matches the polling scheduler),
  * the wake heap for sleeping tiles, and a mailbox for wakes posted by
@@ -166,7 +165,8 @@ class Shard final : public Tile::WakeSink
     }
 
     /** Any flit this shard handed across a boundary is still staged or
-     *  unconsumed (keeps idleness conservative under batching). */
+     *  unconsumed (keeps rendezvous idleness conservative: the consumer
+     *  shard may have summarized before the push). */
     bool
     cross_in_flight() const
     {
@@ -199,11 +199,11 @@ class Shard final : public Tile::WakeSink
 
     /**
      * Prepare for one engine run: reset the tick counters, initialize
-     * the shard clock from the tiles, and — under an event @p sched —
+     * the shard clock from the tiles, and — under Schedule::EventFine —
      * build the wake schedule (all tiles start active; sleepers peel
-     * off after the first cycle) and register this shard as its tiles'
-     * wake sink; Schedule::EventFine additionally switches every
-     * non-pinned tile to component-granularity scheduling.
+     * off after the first cycle), register this shard as its tiles'
+     * wake sink, and switch every non-pinned tile to
+     * component-granularity scheduling.
      * @p track_done records each tile's done() at sleep time so
      * done() stays O(active); pass it only when the run needs
      * completion detection (it costs a component scan per sleep).
@@ -343,8 +343,7 @@ class Shard final : public Tile::WakeSink
     // via the mailbox's own alignment below, from everything remote
     // threads write, so a cross-shard wake post never invalidates the
     // scheduler's working set.
-    alignas(common::kCacheLineSize) bool event_ = false;
-    bool fine_ = false; ///< component-granularity tiles (EventFine)
+    alignas(common::kCacheLineSize) bool event_ = false; ///< EventFine
     bool track_done_ = false;
     Cycle now_ = 0;
     std::vector<Cycle> wake_at_;            ///< see the Slot-split comment
@@ -409,9 +408,9 @@ struct EngineOptions
     bool batch_cross_shard = false;
     /**
      * Shard scheduler selection (see Schedule). Unset (the default)
-     * defers to the HORNET_SCHEDULE environment variable ("poll",
-     * "event" or "event-fine"; unset or empty = poll), which is how
-     * CI runs the whole suite under every scheduler. Results are
+     * defers to the HORNET_SCHEDULE environment variable ("poll" or
+     * "event-fine"; unset or empty = poll), which is how CI runs the
+     * whole suite under both schedulers. Results are
      * bitwise identical across schedulers for lockstep windows and
      * single-shard runs; loose multi-shard windows are
      * timing-nondeterministic under every scheduler.
@@ -437,24 +436,20 @@ struct EngineRunStats
     /** Tile-cycles actually ticked (posedge+negedge pairs summed over
      *  tiles). */
     std::uint64_t tile_cycles_run = 0;
-    /** Tile-cycles *not* ticked: fast-forward jumps plus, under the
-     *  event-driven scheduler, cycles individual tiles slept. */
+    /** Tile-cycles *not* ticked: fast-forward jumps plus, under
+     *  Schedule::EventFine, cycles individual tiles slept. */
     std::uint64_t tile_cycles_skipped = 0;
     /** Component-cycles actually ticked (summed over tiles; a coarse
      *  tile tick counts every component, a fine one only the awake
      *  ones). */
     std::uint64_t comp_cycles_run = 0;
     /** Component-cycles *not* ticked out of the component x cycle
-     *  grid: tile-level sleeping and fast-forward plus, under
-     *  Schedule::EventFine, per-component sleeping inside awake
-     *  tiles. */
+     *  grid: fast-forward plus, under Schedule::EventFine, tile-level
+     *  sleeping and per-component sleeping inside awake tiles. */
     std::uint64_t comp_cycles_skipped = 0;
-    /** True when the run used an event-driven shard scheduler
-     *  (Schedule::Event or Schedule::EventFine). */
-    bool event_driven = false;
-    /** True when the run used component-granularity scheduling
+    /** True when the run used the event-driven shard scheduler
      *  (Schedule::EventFine). */
-    bool event_fine = false;
+    bool event_driven = false;
     /** True when worker threads were pinned (pin_threads resolved to
      *  an affinity mode the platform could apply). */
     bool threads_pinned = false;

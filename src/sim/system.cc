@@ -92,19 +92,14 @@ System::System(const net::Topology &topo, const net::NetworkConfig &cfg,
     // Declare each tile's inter-tile egress buffers: the egress of a
     // toward b produces into the ingress buffers of b's port facing a.
     // The engine intersects this registry with its shard partition to
-    // find the buffers that cross thread boundaries. Each buffer also
-    // gets its consumer tile as wake target, so a push into it wakes
-    // the consumer under the event-driven scheduler — the only way a
-    // sleeping tile acquires work.
+    // find the buffers that cross thread boundaries.
     for (NodeId a = 0; a < n; ++a) {
         const auto &nbrs = topo.neighbors(a);
         for (PortId p = 0; p < nbrs.size(); ++p) {
             const NodeId b = nbrs[p];
             for (net::VcBuffer *buf :
-                 network_->router(b).ingress_buffers(topo.port_to(b, a))) {
+                 network_->router(b).ingress_buffers(topo.port_to(b, a)))
                 tiles_[a]->add_egress_buffer(b, buf);
-                buf->set_wake_target(tiles_[b]);
-            }
         }
     }
 
@@ -251,8 +246,7 @@ System::run(SyncPolicy &policy, const EngineOptions &opts,
             unsigned threads)
 {
     attach_default_sinks();
-    if (freeze_enabled_)
-        freeze_tables();
+    freeze_tables();
     Engine engine(tiles_, threads);
     const Cycle end = engine.run(policy, opts);
     last_engine_stats_ = engine.last_run_stats();

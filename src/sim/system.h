@@ -59,12 +59,11 @@ struct RunOptions
     bool batch_handoff = false;
     /**
      * Shard scheduler by name: "poll" ticks every tile every cycle,
-     * "event" ticks only awake tiles (O(active) per cycle),
-     * "event-fine" additionally skips idle components inside awake
-     * tiles (bitwise identical results for lockstep/single-shard
-     * runs — see EngineOptions::schedule for the loose-window
-     * caveat). Left empty, the HORNET_SCHEDULE environment variable
-     * decides (default poll).
+     * "event-fine" ticks only awake tiles and, inside them, only
+     * awake components (bitwise identical results for
+     * lockstep/single-shard runs — see EngineOptions::schedule for
+     * the loose-window caveat). Left empty, the HORNET_SCHEDULE
+     * environment variable decides (default poll).
      */
     std::string schedule;
     /** Also stop as soon as every frontend is done and the network has
@@ -203,14 +202,6 @@ class System
      */
     bool reset_for_rerun(std::uint64_t seed);
 
-    /**
-     * Disable (or re-enable) the automatic pre-run freeze_tables().
-     * Test-only knob: the differential harness runs frozen and
-     * unfrozen systems side by side to prove the freeze is bitwise
-     * neutral. Must be set before the first run().
-     */
-    void set_freeze_tables(bool on) { freeze_enabled_ = on; }
-
     /** True once freeze_tables() has run. */
     bool tables_frozen() const { return tables_frozen_; }
 
@@ -251,7 +242,6 @@ class System
     std::vector<Tile *> tiles_; ///< arena-placed, non-owning
     std::unique_ptr<net::Network> network_;
     bool sinks_attached_ = false;
-    bool freeze_enabled_ = true;
     bool tables_frozen_ = false;
     EngineRunStats last_engine_stats_;
 };

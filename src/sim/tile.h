@@ -162,12 +162,14 @@ class Tile : public Wakeable
      * every component keeps a sleeping flag and an absolute wake
      * cycle, idle components retire after each negedge, and pushes
      * wake exactly the component that consumes them — the router via
-     * its interposed ingress wake records, the frontends via a wake
-     * record interposed on the ejection buffers. Bitwise neutral by
-     * the wake-seam contract (ticking an idle component is a no-op).
-     * Called serially by the owning Shard's prepare_run/finish_run;
-     * pinned tiles stay coarse (their link arbiters are coupled to
-     * both endpoint routers' demand outside the wake seam).
+     * its ingress wake records, the frontends via the tile's ejection
+     * wake record. Both records are wired for the tile's lifetime;
+     * this switch only arms the per-component sleep state. Bitwise
+     * neutral by the wake-seam contract (ticking an idle component is
+     * a no-op). Called serially by the owning Shard's
+     * prepare_run/finish_run; pinned tiles stay coarse (their link
+     * arbiters are coupled to both endpoint routers' demand outside
+     * the wake seam).
      */
     void
     set_fine(bool on)
@@ -181,38 +183,13 @@ class Tile : public Wakeable
         if (on) {
             comp_awake_.assign(negedge_order_.size(), 1);
             comp_wake_at_.assign(negedge_order_.size(), kNoEvent);
-            router_fine_ =
-                router_ != nullptr && router_->fine_supported();
-            if (router_fine_)
-                router_->set_fine(true);
             ej_pending_ = kNoEvent;
-            saved_ej_targets_.clear();
-            if (router_ != nullptr) {
-                for (VcId v = 0; v < router_->num_ejection_vcs(); ++v) {
-                    net::VcBuffer &b = router_->ejection_buffer(v);
-                    saved_ej_targets_.push_back(b.wake_target());
-                    b.set_wake_target(&ej_wake_);
-                }
-            }
         } else {
-            if (router_ != nullptr) {
-                for (VcId v = 0; v < router_->num_ejection_vcs(); ++v)
-                    router_->ejection_buffer(v).set_wake_target(
-                        saved_ej_targets_[v]);
-                saved_ej_targets_.clear();
-            }
-            if (router_fine_)
-                router_->set_fine(false);
-            router_fine_ = false;
             comp_awake_.clear();
             comp_wake_at_.clear();
         }
         fine_ = on;
     }
-
-    /** True while fine-grain (component-granularity) scheduling is
-     *  active on this tile. */
-    bool fine() const { return fine_; }
 
     /**
      * Lifetime-cumulative count of component ticks actually executed
@@ -252,12 +229,19 @@ class Tile : public Wakeable
         valid_.done.store(false, std::memory_order_release);
     }
 
-    /** Attach this tile's router (wired by System). */
+    /** Attach this tile's router (wired by System): the router's
+     *  network-port wake records forward to this tile — a push from a
+     *  neighbour is the only way a sleeping tile acquires work — and
+     *  the tile's ejection wake record becomes the wake target of the
+     *  router's ejection buffers. */
     void
     set_router(net::Router *r)
     {
         router_ = r;
         order_dirty_ = true;
+        r->forward_ingress_wakes(this);
+        for (VcId v = 0; v < r->num_ejection_vcs(); ++v)
+            r->ejection_buffer(v).set_wake_target(&ej_wake_);
     }
     /** This tile's router (nullptr until wired). */
     net::Router *router() { return router_; }
@@ -511,7 +495,7 @@ class Tile : public Wakeable
     void
     fine_cycle_begin()
     {
-        if (router_fine_) {
+        if (router_ != nullptr) {
             const Cycle p = router_->take_pending_wake();
             if (p != kNoEvent && comp_awake_[0] == 0 &&
                 p < comp_wake_at_[0])
@@ -538,11 +522,10 @@ class Tile : public Wakeable
      * End-of-cycle component retire (fine-grain mode; the clock has
      * already advanced): put idle components to sleep until their next
      * self-scheduled event. Link arbiters never retire (their output
-     * depends on both routers' demand, outside the wake seam), a
-     * router without mask support never retires, and frontends stay
-     * awake while ejection buffers hold flits — a bridge may report
-     * idle with undrained deliveries pending, and sleeping it would
-     * strand them.
+     * depends on both routers' demand, outside the wake seam), and
+     * frontends stay awake while ejection buffers hold flits — a
+     * bridge may report idle with undrained deliveries pending, and
+     * sleeping it would strand them.
      */
     void
     fine_retire()
@@ -553,8 +536,6 @@ class Tile : public Wakeable
             if (comp_awake_[i] == 0)
                 continue;
             if (comp_kind_[i] == kCompLink)
-                continue;
-            if (comp_kind_[i] == kCompRouter && !router_fine_)
                 continue;
             if (comp_kind_[i] == kCompFrontend && ej)
                 continue;
@@ -609,12 +590,13 @@ class Tile : public Wakeable
     // ---------------- fine-grain scheduling state -------------------
 
     /**
-     * Wake record interposed on the ejection buffers while fine-grain
-     * mode is active: the router delivers to the CPU port on the
-     * owning thread, so a plain min-fold of the arrival cycle is
-     * enough; the pending value wakes every frontend at the next
-     * cycle begin (conservative — waking a frontend with nothing to
-     * drain is a no-op by the wake-seam contract).
+     * Wake target of the router's ejection buffers (installed by
+     * set_router): the router delivers to the CPU port on the owning
+     * thread, so a plain min-fold of the arrival cycle is enough; the
+     * pending value wakes every frontend at the next fine-grain cycle
+     * begin (conservative — waking a frontend with nothing to drain
+     * is a no-op by the wake-seam contract). Outside fine-grain mode
+     * the fold is never read; set_fine(true) clears it.
      */
     struct EjectionWake : Wakeable
     {
@@ -639,8 +621,7 @@ class Tile : public Wakeable
         kCompLink = 2
     };
 
-    bool fine_ = false;        ///< component-granularity mode active
-    bool router_fine_ = false; ///< router participates in retiring
+    bool fine_ = false; ///< component-granularity mode active
     /// Awake flag per component, indexed like negedge_order_.
     std::vector<std::uint8_t> comp_awake_;
     /// Absolute wake cycle per sleeping component (kNoEvent: external
@@ -654,8 +635,6 @@ class Tile : public Wakeable
     /// when none). Folded into the frontends' wake cycles at the next
     /// cycle begin.
     Cycle ej_pending_ = kNoEvent;
-    /// Ejection-buffer wake targets saved across an interposition.
-    std::vector<Wakeable *> saved_ej_targets_;
     /// The one ejection wake record (all ejection VCs share it).
     EjectionWake ej_wake_{this};
     /// Lifetime component ticks executed (see comp_cycles_run()).

@@ -100,7 +100,7 @@ run_options_from_config(const Config &cfg)
     ro.fast_forward = cfg.get_bool("sim.fast_forward", false);
     ro.stop_when_done = cfg.get_bool("sim.stop_when_done", false);
     const std::string schedule = cfg.get_enum(
-        "sim.schedule", "auto", {"auto", "poll", "event", "event-fine"});
+        "sim.schedule", "auto", {"auto", "poll", "event-fine"});
     ro.schedule = schedule == "auto" ? "" : schedule;
     ro.batch_handoff =
         cfg.get_bool("sim.batch_handoff", ro.sync == "adaptive");

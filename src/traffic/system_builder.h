@@ -50,10 +50,10 @@
  *   sync = auto | cycle-accurate | periodic | adaptive    (auto:
  *          cycle-accurate when sync_period is 1, periodic otherwise)
  *   sync_period = <int> (1)        fast_forward = <bool> (false)
- *   schedule = auto | poll | event | event-fine (auto: defer to the
- *          HORNET_SCHEDULE environment variable, default poll; the
- *          event-driven schedulers tick only awake tiles — event-fine
- *          only awake *components* — bitwise identical for
+ *   schedule = auto | poll | event-fine (auto: defer to the
+ *          HORNET_SCHEDULE environment variable, default poll;
+ *          event-fine ticks only awake tiles, and inside them only
+ *          awake components — bitwise identical to poll for
  *          lockstep/single-shard runs)
  *   stop_when_done = <bool> (false)
  *   batch_handoff = <bool> (true iff sync = adaptive)
@@ -61,6 +61,13 @@
  *   adaptive_max_period = <int> (64)
  *   adaptive_high_watermark = <double> (1.0)   (cross-shard flits per
  *   adaptive_low_watermark  = <double> (0.25)   cycle; see ENGINE.md)
+ *   pin = auto | none | compact | spread        (auto)
+ *
+ * Keys outside this list are not read by anything; Config::
+ * reject_unread_keys() turns them into an error once
+ * run_options_from_config() and build_system() have run (config_run
+ * does). Keys for other kinds than the selected one (e.g. `nodes`
+ * with kind = mesh) count as unread too.
  */
 #ifndef HORNET_TRAFFIC_SYSTEM_BUILDER_H
 #define HORNET_TRAFFIC_SYSTEM_BUILDER_H
@@ -91,6 +98,7 @@ sim::RunOptions run_options_from_config(const Config &cfg);
  * and traffic frontends. The returned system is ready to run().
  */
 std::unique_ptr<sim::System> build_system(const Config &cfg);
+
 
 } // namespace hornet::traffic
 

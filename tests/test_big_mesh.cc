@@ -3,7 +3,7 @@
  * Giant-mesh coverage for the arena-backed layout (ISSUE 6): a 64x64
  * mesh constructs and runs under both shard schedulers, placement
  * grouping never changes results (it only moves objects), the 32x32
- * poll/event legs stay bitwise identical, and the arena footprint is
+ * poll/event-fine legs stay bitwise identical, and the arena footprint is
  * observable — and bounded — through SystemStats.
  *
  * Every system here uses the shuffle pattern: flow tables are built
@@ -29,9 +29,9 @@ TEST(BigMesh, Mesh64RunsUnderAllSchedulers)
     // per-group arenas and run. All scheduler legs must agree on
     // delivered traffic (full bitwise identity is asserted on the
     // cheaper 32x32 below).
-    std::uint64_t delivered[3];
+    std::uint64_t delivered[2];
     int i = 0;
-    for (const char *sched : {"poll", "event", "event-fine"}) {
+    for (const char *sched : {"poll", "event-fine"}) {
         auto sys = make_big_mesh(64, 0.02, /*seed=*/11);
         ASSERT_EQ(sys->num_tiles(), 4096u);
         sim::RunOptions ro;
@@ -42,18 +42,16 @@ TEST(BigMesh, Mesh64RunsUnderAllSchedulers)
     }
     EXPECT_GT(delivered[0], 0u);
     EXPECT_EQ(delivered[0], delivered[1]);
-    EXPECT_EQ(delivered[0], delivered[2]);
 }
 
 TEST(BigMesh, Mesh32SchedulersBitwiseIdentical)
 {
     // Single-shard event-driven scheduling carries the paper's
     // determinism contract to giant meshes: the full per-tile /
-    // per-flow fingerprint must match the polling leg exactly, at
-    // tile and at component granularity.
-    std::string snaps[3];
+    // per-flow fingerprint must match the polling leg exactly.
+    std::string snaps[2];
     int i = 0;
-    for (const char *sched : {"poll", "event", "event-fine"}) {
+    for (const char *sched : {"poll", "event-fine"}) {
         auto sys = make_big_mesh(32, 0.05, /*seed=*/23);
         sim::RunOptions ro;
         ro.max_cycles = 400;
@@ -62,7 +60,6 @@ TEST(BigMesh, Mesh32SchedulersBitwiseIdentical)
         snaps[i++] = testutil::snapshot(sys->collect_stats());
     }
     EXPECT_EQ(snaps[0], snaps[1]);
-    EXPECT_EQ(snaps[0], snaps[2]);
 }
 
 TEST(BigMesh, PlacementGroupsNeverChangeResults)

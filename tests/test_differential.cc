@@ -3,8 +3,10 @@
  * Randomized differential-test harness (ISSUE 7): a seeded generator
  * of small random systems — topology, VC configuration, routing
  * scheme, injection process, sync policy, batching, fast-forward —
- * each run under {poll, event, event-fine} x {1, 2, 4 threads} and
- * checked against the sequential polling reference.
+ * each run under {poll, event-fine} x {1, 2, 4 threads} and checked
+ * against the sequential polling reference. Every run also ends with
+ * the routers' reference full scan: each non-empty ingress buffer
+ * must still have its occupancy-mask bit.
  *
  * Determinism envelope (docs/ENGINE.md):
  *  - one thread is bitwise for every policy and scheduler;
@@ -340,21 +342,29 @@ make_policy(const DiffConfig &c)
     return p;
 }
 
-/** Build + run one variant; return the stats fingerprint. @p freeze
- *  false disables the pre-run flat-table freeze (ISSUE 8), running on
- *  the mutable map-backed tables instead. */
+/** Every router's occupancy masks cover its non-empty ingress
+ *  buffers (the reference full scan, run after the engine joined). */
+void
+expect_masks_cover_buffers(sim::System &sys)
+{
+    for (NodeId n = 0; n < sys.num_tiles(); ++n)
+        EXPECT_TRUE(sys.network().router(n).ingress_masks_cover_buffers())
+            << "router " << n;
+}
+
+/** Build + run one variant; return the stats fingerprint. */
 std::string
 run_variant(const DiffConfig &c, Schedule sched, unsigned threads,
-            SystemStats *stats_out = nullptr, bool freeze = true)
+            SystemStats *stats_out = nullptr)
 {
     auto sys = build_system(c);
-    sys->set_freeze_tables(freeze);
     auto policy = make_policy(c);
     EngineOptions opts;
     opts.max_cycles = c.horizon;
     opts.batch_cross_shard = c.batch;
     opts.schedule = sched;
     sys->run(*policy, opts, threads);
+    expect_masks_cover_buffers(*sys);
     SystemStats s = sys->collect_stats();
     if (stats_out != nullptr)
         *stats_out = s;
@@ -390,13 +400,11 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
             run_variant(c, Schedule::Poll, 1, &ref_stats);
 
         // One thread is bitwise for every policy and scheduler.
-        EXPECT_EQ(run_variant(c, Schedule::Event, 1), ref);
         EXPECT_EQ(run_variant(c, Schedule::EventFine, 1), ref);
 
         if (c.thread_bitwise()) {
             ++lockstep_configs;
-            for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                                   Schedule::EventFine})
+            for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
                 for (unsigned threads : {2u, 4u})
                     EXPECT_EQ(run_variant(c, sched, threads), ref)
                         << "sched=" << static_cast<int>(sched)
@@ -407,8 +415,7 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
             ASSERT_GT(ref_stats.total.packets_injected, 0u);
             ASSERT_EQ(ref_stats.total.flits_delivered,
                       ref_stats.total.flits_injected);
-            for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                                   Schedule::EventFine})
+            for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
                 for (unsigned threads : {2u, 4u}) {
                     SystemStats s;
                     run_variant(c, sched, threads, &s);
@@ -427,37 +434,6 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
     EXPECT_GT(lockstep_configs, n / 4);
 }
 
-TEST(Differential, FrozenTablesAreBitwiseNeutral)
-{
-    // The flat-table freeze (ISSUE 8) compiles the routing/VCA tables
-    // and the flow-stats index into their frozen forms before the
-    // first run; it must be invisible in results. Run each drawn
-    // configuration with the freeze enabled and disabled and demand
-    // identical full-fidelity fingerprints — on every scheduler, and
-    // multi-threaded where the config is bitwise at all.
-    const std::uint64_t limit = 12;
-    const std::uint64_t n =
-        config_count() < limit ? config_count() : limit;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const DiffConfig c = draw_config(i);
-        SCOPED_TRACE("config " + std::to_string(i) + ": " +
-                     c.describe());
-        for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                               Schedule::EventFine}) {
-            const std::string frozen = run_variant(c, sched, 1);
-            const std::string unfrozen =
-                run_variant(c, sched, 1, nullptr, false);
-            EXPECT_EQ(frozen, unfrozen)
-                << "sched=" << static_cast<int>(sched);
-        }
-        if (c.thread_bitwise()) {
-            EXPECT_EQ(
-                run_variant(c, Schedule::EventFine, 4),
-                run_variant(c, Schedule::EventFine, 4, nullptr, false));
-        }
-    }
-}
-
 /** Build + run a config-schema system (the config_run path) under one
  *  scheduler / thread-count variant; return the stats fingerprint. */
 std::string
@@ -470,6 +446,7 @@ run_config_variant(const std::string &text, Schedule sched,
     opts.max_cycles = horizon;
     opts.schedule = sched;
     sys->run(policy, opts, threads);
+    expect_masks_cover_buffers(*sys);
     return snapshot(sys->collect_stats());
 }
 
@@ -500,8 +477,7 @@ TEST(Differential, IndirectTopologiesAreBitwiseUnderLockstep)
         SCOPED_TRACE(text);
         const std::string ref =
             run_config_variant(text, Schedule::Poll, 1, horizon);
-        for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                               Schedule::EventFine})
+        for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
             for (unsigned threads : {1u, 2u, 4u})
                 EXPECT_EQ(run_config_variant(text, sched, threads,
                                              horizon),
@@ -538,6 +514,7 @@ TEST(Differential, BlueprintInstantiationMatchesScratchOnFatTree)
         EngineOptions opts;
         opts.max_cycles = 400;
         sys.run(policy, opts, 1);
+        expect_masks_cover_buffers(sys);
         return snapshot(sys.collect_stats());
     };
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the event-driven shard scheduler: bitwise equivalence with
- * the polling scheduler under every sync backend, wake propagation
- * across (batched) cross-shard pushes, Tile aggregate/wake-hint edge
- * cases, the scheduling-effectiveness counters, and the config/env
- * plumbing that selects the scheduler.
+ * Tests for the event-driven (event-fine) shard scheduler: bitwise
+ * equivalence with the polling scheduler under every sync backend,
+ * wake propagation across (batched) cross-shard pushes, Tile
+ * aggregate/wake-hint edge cases, the scheduling-effectiveness
+ * counters, and the config/env plumbing that selects the scheduler.
  */
 #include <gtest/gtest.h>
 
@@ -36,25 +36,22 @@ using testutil::snapshot;
 
 TEST(EventDriven, MatchesPollBitwiseUnderCycleAccurate)
 {
-    // Acceptance: 8x8 mesh, cycle-accurate sync — both event-driven
-    // schedulers must produce bitwise-identical statistics to the
+    // Acceptance: 8x8 mesh, cycle-accurate sync — the event-driven
+    // scheduler must produce bitwise-identical statistics to the
     // polling scheduler, sequentially and with 4 threads.
     auto ref_sys = make_mesh_system(8, 0.15, 7);
     CycleAccurateSync ref_policy;
     run_scheduled(*ref_sys, ref_policy, Schedule::Poll, 1, 2000);
     const std::string ref = snapshot(ref_sys->collect_stats());
 
-    for (Schedule sched : {Schedule::Event, Schedule::EventFine}) {
-        for (unsigned threads : {1u, 4u}) {
-            auto sys = make_mesh_system(8, 0.15, 7);
-            CycleAccurateSync policy;
-            Cycle end =
-                run_scheduled(*sys, policy, sched, threads, 2000);
-            EXPECT_EQ(end, 2000u);
-            EXPECT_EQ(snapshot(sys->collect_stats()), ref)
-                << "fine=" << (sched == Schedule::EventFine)
-                << " threads=" << threads;
-        }
+    for (unsigned threads : {1u, 4u}) {
+        auto sys = make_mesh_system(8, 0.15, 7);
+        CycleAccurateSync policy;
+        Cycle end =
+            run_scheduled(*sys, policy, Schedule::EventFine, threads, 2000);
+        EXPECT_EQ(end, 2000u);
+        EXPECT_EQ(snapshot(sys->collect_stats()), ref)
+            << "threads=" << threads;
     }
 }
 
@@ -68,13 +65,10 @@ TEST(EventDriven, MatchesPollBitwiseUnderPeriodicFreeRun)
     run_scheduled(*ref_sys, ref_policy, Schedule::Poll, 1, 6000);
     const std::string ref = snapshot(ref_sys->collect_stats());
 
-    for (Schedule sched : {Schedule::Event, Schedule::EventFine}) {
-        auto sys = make_mesh_system(4, 0.0, 5, /*burst_period=*/300);
-        PeriodicSync policy(16);
-        run_scheduled(*sys, policy, sched, 1, 6000);
-        EXPECT_EQ(snapshot(sys->collect_stats()), ref)
-            << "fine=" << (sched == Schedule::EventFine);
-    }
+    auto sys = make_mesh_system(4, 0.0, 5, /*burst_period=*/300);
+    PeriodicSync policy(16);
+    run_scheduled(*sys, policy, Schedule::EventFine, 1, 6000);
+    EXPECT_EQ(snapshot(sys->collect_stats()), ref);
 }
 
 TEST(EventDriven, MatchesPollBitwiseUnderAdaptiveBatchedLockstep)
@@ -91,15 +85,11 @@ TEST(EventDriven, MatchesPollBitwiseUnderAdaptiveBatchedLockstep)
     run_scheduled(*ref_sys, ref_policy, Schedule::Poll, 1, 2000);
     const std::string ref = snapshot(ref_sys->collect_stats());
 
-    for (Schedule sched : {Schedule::Event, Schedule::EventFine}) {
-        for (bool batch : {false, true}) {
-            auto sys = make_mesh_system(8, 0.15, 7);
-            AdaptiveSync policy(pinned);
-            run_scheduled(*sys, policy, sched, 4, 2000, batch);
-            EXPECT_EQ(snapshot(sys->collect_stats()), ref)
-                << "fine=" << (sched == Schedule::EventFine)
-                << " batch=" << batch;
-        }
+    for (bool batch : {false, true}) {
+        auto sys = make_mesh_system(8, 0.15, 7);
+        AdaptiveSync policy(pinned);
+        run_scheduled(*sys, policy, Schedule::EventFine, 4, 2000, batch);
+        EXPECT_EQ(snapshot(sys->collect_stats()), ref) << "batch=" << batch;
     }
 }
 
@@ -112,16 +102,12 @@ TEST(EventDriven, MatchesPollBitwiseUnderFastForward)
     run_scheduled(*ref_sys, ref_policy, Schedule::Poll, 1, 5000);
     const std::string ref = snapshot(ref_sys->collect_stats());
 
-    for (Schedule sched : {Schedule::Event, Schedule::EventFine}) {
-        for (unsigned threads : {1u, 3u}) {
-            auto sys = make_mesh_system(4, 0.0, 9, /*burst_period=*/500);
-            FastForwardSync policy(
-                std::make_unique<CycleAccurateSync>());
-            run_scheduled(*sys, policy, sched, threads, 5000);
-            EXPECT_EQ(snapshot(sys->collect_stats()), ref)
-                << "fine=" << (sched == Schedule::EventFine)
-                << " threads=" << threads;
-        }
+    for (unsigned threads : {1u, 3u}) {
+        auto sys = make_mesh_system(4, 0.0, 9, /*burst_period=*/500);
+        FastForwardSync policy(std::make_unique<CycleAccurateSync>());
+        run_scheduled(*sys, policy, Schedule::EventFine, threads, 5000);
+        EXPECT_EQ(snapshot(sys->collect_stats()), ref)
+            << "threads=" << threads;
     }
 }
 
@@ -137,7 +123,7 @@ TEST(EventDriven, AdaptiveBatchedMultiThreadConservesAllTraffic)
     EngineOptions opts;
     opts.max_cycles = 16000;
     opts.batch_cross_shard = true;
-    opts.schedule = Schedule::Event;
+    opts.schedule = Schedule::EventFine;
     sys->run(policy, opts, /*threads=*/4);
     auto s = sys->collect_stats();
     EXPECT_GT(s.total.packets_injected, 0u);
@@ -153,7 +139,7 @@ TEST(EventDriven, PeriodicMultiThreadConservesAllTraffic)
         PeriodicSync policy(period);
         EngineOptions opts;
         opts.max_cycles = 16000;
-        opts.schedule = Schedule::Event;
+        opts.schedule = Schedule::EventFine;
         sys->run(policy, opts, /*threads=*/4);
         auto s = sys->collect_stats();
         EXPECT_GT(s.total.packets_injected, 0u) << "period=" << period;
@@ -189,8 +175,7 @@ TEST(EventDriven, WakeOrderingAcrossBatchedCrossShardPush)
     const std::string ref = snapshot(ref_sys->collect_stats());
     EXPECT_EQ(ref_sys->collect_stats().total.packets_delivered, 2u);
 
-    for (Schedule sched :
-         {Schedule::Poll, Schedule::Event, Schedule::EventFine}) {
+    for (Schedule sched : {Schedule::Poll, Schedule::EventFine}) {
         for (bool batch : {false, true}) {
             auto sys = build();
             CycleAccurateSync policy;
@@ -234,16 +219,13 @@ TEST(EventDriven, BidirectionalLinkEndpointsArePinnedAndStayExact)
     run_scheduled(*ref_sys, ref_policy, Schedule::Poll, 1, 1500);
     const std::string ref = snapshot(ref_sys->collect_stats());
 
-    for (Schedule sched : {Schedule::Event, Schedule::EventFine}) {
-        auto sys = build();
-        CycleAccurateSync policy;
-        run_scheduled(*sys, policy, sched, 2, 1500);
-        EXPECT_EQ(snapshot(sys->collect_stats()), ref)
-            << "fine=" << (sched == Schedule::EventFine);
-        // Every tile is a bidir-link endpoint: all pinned, none slept
-        // (and pinned tiles never switch to component granularity).
-        EXPECT_EQ(sys->last_engine_stats().tile_cycles_skipped, 0u);
-    }
+    auto sys = build();
+    CycleAccurateSync policy;
+    run_scheduled(*sys, policy, Schedule::EventFine, 2, 1500);
+    EXPECT_EQ(snapshot(sys->collect_stats()), ref);
+    // Every tile is a bidir-link endpoint: all pinned, none slept (and
+    // pinned tiles never switch to component granularity).
+    EXPECT_EQ(sys->last_engine_stats().tile_cycles_skipped, 0u);
 }
 
 // ----------------------------------------------------------------------
@@ -366,7 +348,7 @@ TEST(EventDriven, SkippedCycleCountersAreReported)
     // tile-cycle counter, while no global jumps happen.
     auto ev_sys = make_mesh_system(4, 0.0, 9, /*burst_period=*/500);
     CycleAccurateSync ca;
-    run_scheduled(*ev_sys, ca, Schedule::Event, 1, horizon);
+    run_scheduled(*ev_sys, ca, Schedule::EventFine, 1, horizon);
     auto ev_stats = ev_sys->collect_stats();
     EXPECT_EQ(ev_stats.ff_skipped_cycles, 0u);
     EXPECT_GT(ev_stats.tile_cycles_skipped, 0u);
@@ -387,28 +369,33 @@ TEST(EventDriven, ComponentCycleCountersAreReported)
     const Cycle horizon = 5000;
 
     // The component x cycle grid is invariant across schedulers; the
-    // run/skip split is not. Fine-grain scheduling must tick strictly
-    // fewer component-cycles than the coarse event scheduler on a
-    // sparse workload (same results — the differential harness pins
-    // that; here only the counters are of interest).
-    auto ev_sys = make_mesh_system(4, 0.01, 9);
+    // run/skip split is not. Event-fine scheduling must tick strictly
+    // fewer component-cycles than polling on a sparse workload (same
+    // results — the differential harness pins that; here only the
+    // counters are of interest).
+    auto po_sys = make_mesh_system(4, 0.01, 9);
     CycleAccurateSync ca;
-    run_scheduled(*ev_sys, ca, Schedule::Event, 1, horizon);
-    auto ev = ev_sys->collect_stats();
+    run_scheduled(*po_sys, ca, Schedule::Poll, 1, horizon);
+    auto po = po_sys->collect_stats();
 
     auto fi_sys = make_mesh_system(4, 0.01, 9);
     CycleAccurateSync ca2;
     run_scheduled(*fi_sys, ca2, Schedule::EventFine, 1, horizon);
     auto fi = fi_sys->collect_stats();
 
-    EXPECT_EQ(ev.comp_cycles_run + ev.comp_cycles_skipped,
+    EXPECT_EQ(po.comp_cycles_run + po.comp_cycles_skipped,
               fi.comp_cycles_run + fi.comp_cycles_skipped);
-    EXPECT_GT(ev.comp_cycles_run, 0u);
-    EXPECT_LT(fi.comp_cycles_run, ev.comp_cycles_run);
-    // Coarse schedulers tick whole tiles, so their component split is
-    // the tile split scaled by the (uniform) per-tile component count.
-    ASSERT_GT(ev.tile_cycles_run, 0u);
-    EXPECT_EQ(ev.comp_cycles_run % ev.tile_cycles_run, 0u);
+    EXPECT_GT(po.comp_cycles_run, 0u);
+    EXPECT_LT(fi.comp_cycles_run, po.comp_cycles_run);
+    // Polling ticks whole tiles, so its component split is the tile
+    // split scaled by the (uniform) per-tile component count.
+    ASSERT_GT(po.tile_cycles_run, 0u);
+    EXPECT_EQ(po.comp_cycles_run % po.tile_cycles_run, 0u);
+    // Sleeping whole tiles alone would tick every component of each
+    // awake tile-cycle; event-fine must also skip idle components
+    // inside awake tiles.
+    const std::uint64_t per_tile = po.comp_cycles_run / po.tile_cycles_run;
+    EXPECT_LT(fi.comp_cycles_run, fi.tile_cycles_run * per_tile);
     EXPECT_NE(fi.summary().find("idle component-cycles skipped"),
               std::string::npos);
 }
@@ -422,29 +409,49 @@ TEST(EventDriven, RunOptionsScheduleSelection)
     auto sys = make_mesh_system(2, 0.1, 1);
     RunOptions ro;
     ro.max_cycles = 100;
-    ro.schedule = "event";
-    sys->run(ro);
-    EXPECT_TRUE(sys->last_engine_stats().event_driven);
-    EXPECT_FALSE(sys->last_engine_stats().event_fine);
-
     ro.schedule = "event-fine";
     sys->run(ro);
     EXPECT_TRUE(sys->last_engine_stats().event_driven);
-    EXPECT_TRUE(sys->last_engine_stats().event_fine);
 
     ro.schedule = "poll";
     sys->run(ro);
     EXPECT_FALSE(sys->last_engine_stats().event_driven);
-    EXPECT_FALSE(sys->last_engine_stats().event_fine);
 
     ro.schedule = "bogus";
     EXPECT_THROW(sys->run(ro), std::runtime_error);
 }
 
+TEST(EventDriven, RetiredEventScheduleFailsNamingItsReplacement)
+{
+    // The tile-granularity "event" scheduler was folded into
+    // event-fine; every way of asking for it must fail loudly and
+    // point at the replacement.
+    auto expect_names_event_fine = [](auto &&select) {
+        try {
+            select();
+            ADD_FAILURE() << "schedule = event was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("event-fine"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_names_event_fine([] { sim::schedule_from_name("event"); });
+    expect_names_event_fine([] {
+        traffic::run_options_from_config(
+            Config::from_string("[sim]\nschedule = event\n"));
+    });
+    auto sys = make_mesh_system(2, 0.1, 1);
+    RunOptions ro;
+    ro.max_cycles = 100;
+    ro.schedule = "event";
+    expect_names_event_fine([&] { sys->run(ro); });
+}
+
 TEST(EventDriven, ConfigScheduleKey)
 {
-    Config cfg = Config::from_string("[sim]\nschedule = event\n");
-    EXPECT_EQ(traffic::run_options_from_config(cfg).schedule, "event");
+    Config poll = Config::from_string("[sim]\nschedule = poll\n");
+    EXPECT_EQ(traffic::run_options_from_config(poll).schedule, "poll");
 
     Config fine = Config::from_string("[sim]\nschedule = event-fine\n");
     EXPECT_EQ(traffic::run_options_from_config(fine).schedule,
@@ -461,7 +468,7 @@ TEST(EventDriven, ConfigScheduleKey)
 TEST(EventDriven, EnvironmentSelectsSchedulerWhenUnset)
 {
     // Preserve whatever schedule this test process itself runs under
-    // (CI exercises the suite with HORNET_SCHEDULE=event).
+    // (CI exercises the suite with HORNET_SCHEDULE=event-fine).
     const char *orig = std::getenv("HORNET_SCHEDULE");
     const std::string saved = orig ? orig : "";
 
@@ -469,14 +476,9 @@ TEST(EventDriven, EnvironmentSelectsSchedulerWhenUnset)
     RunOptions ro;
     ro.max_cycles = 100;
 
-    ::setenv("HORNET_SCHEDULE", "event", 1);
-    sys->run(ro);
-    EXPECT_TRUE(sys->last_engine_stats().event_driven);
-
     ::setenv("HORNET_SCHEDULE", "event-fine", 1);
     sys->run(ro);
     EXPECT_TRUE(sys->last_engine_stats().event_driven);
-    EXPECT_TRUE(sys->last_engine_stats().event_fine);
 
     // An explicit selection beats the environment.
     ro.schedule = "poll";
@@ -485,6 +487,8 @@ TEST(EventDriven, EnvironmentSelectsSchedulerWhenUnset)
 
     ro.schedule.clear();
     ::setenv("HORNET_SCHEDULE", "mash", 1);
+    EXPECT_THROW(sys->run(ro), std::runtime_error);
+    ::setenv("HORNET_SCHEDULE", "event", 1); // retired
     EXPECT_THROW(sys->run(ro), std::runtime_error);
 
     ::unsetenv("HORNET_SCHEDULE");

@@ -93,7 +93,7 @@ scratch_run(std::uint64_t seed, const sim::RunOptions &ro, Cycle stop_at = 0)
 TEST(SystemBlueprint, MatchesScratchEverySchedulerAndThreadCount)
 {
     auto bp = make_mesh_blueprint();
-    for (const char *sched : {"poll", "event", "event-fine"}) {
+    for (const char *sched : {"poll", "event-fine"}) {
         for (unsigned threads : {1u, 2u, 4u}) {
             const sim::RunOptions ro = run_opts(sched, threads);
             const SystemStats ref = scratch_run(/*seed=*/7, ro);
@@ -121,7 +121,7 @@ TEST(SystemBlueprint, InstantiateBeforeFreezePanics)
 TEST(JobEngine, ConcurrentSweepMatchesSerialLoop)
 {
     auto bp = make_mesh_blueprint();
-    const sim::RunOptions ro = run_opts("event", 1);
+    const sim::RunOptions ro = run_opts("event-fine", 1);
 
     // Serial reference: one fresh from-scratch system per point.
     std::vector<std::uint64_t> serial;
@@ -158,7 +158,7 @@ TEST(JobEngine, ReuseIsBitwiseNeutral)
     // for reset-and-rerun.
     const Cycle stop_at = 150;
     auto bp = make_mesh_blueprint(stop_at);
-    sim::RunOptions ro = run_opts("event", 1, /*max_cycles=*/5000);
+    sim::RunOptions ro = run_opts("event-fine", 1, /*max_cycles=*/5000);
     ro.stop_when_done = true;
 
     sim::JobEngineOptions eo;
@@ -217,7 +217,7 @@ TEST(JobEngine, ResultsComeBackInSubmissionOrder)
         sim::Job job;
         job.blueprint = bp;
         job.seed = 100 + static_cast<std::uint64_t>(i);
-        job.run = run_opts("event", 1, /*max_cycles=*/100 + 40 * i);
+        job.run = run_opts("event-fine", 1, /*max_cycles=*/100 + 40 * i);
         job.name = "job-" + std::to_string(i);
         const std::size_t index = engine.submit(std::move(job));
         EXPECT_EQ(index, static_cast<std::size_t>(i));
@@ -246,7 +246,7 @@ TEST(JobEngine, StreamsOneJsonLinePerJob)
         sim::Job job;
         job.blueprint = bp;
         job.seed = static_cast<std::uint64_t>(i + 1);
-        job.run = run_opts("event", 1, /*max_cycles=*/120);
+        job.run = run_opts("event-fine", 1, /*max_cycles=*/120);
         job.name = "pt\"" + std::to_string(i); // exercises escaping
         engine.submit(std::move(job));
     }

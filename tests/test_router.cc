@@ -2,7 +2,8 @@
  * @file
  * Router pipeline behaviour: zero-load latency, wormhole semantics,
  * credit backpressure, EDVCA exclusivity/in-order properties, FAA,
- * adaptive routing, bidirectional links, and VC-configuration effects.
+ * adaptive routing, bidirectional links, VC-configuration effects, and
+ * the occupancy-mask invariant behind the router's only scan path.
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "net/vca_builders.h"
 #include "sim/system.h"
 #include "traffic/flows.h"
+#include "traffic/patterns.h"
 #include "traffic/synthetic.h"
 #include "traffic/trace.h"
 
@@ -369,6 +371,76 @@ TEST(Router, StatsCountersAreConsistent)
     EXPECT_EQ(s.total.buffer_reads, s.total.xbar_transits);
     // VA grants: one per packet per router on its path.
     EXPECT_EQ(s.total.va_grants, 10u * 4u);
+}
+
+TEST(Router, OccupancyMasksCoverEveryBufferedFlit)
+{
+    // Stage A, the negedge commit and has_buffered_flits() walk only
+    // the per-port occupancy masks. Their invariant — every non-empty
+    // ingress buffer has its bit set — is checked against the
+    // reference full scan after every cycle of randomized runs, with
+    // and without shard boundaries. Each check ends a one-cycle run,
+    // which starts every tile and component awake, so the runs poll:
+    // an event-fine run could not sleep anything between checks. The
+    // differential harness checks the masks at the end of long
+    // event-fine runs.
+    static const net::VcaMode kVca[] = {
+        net::VcaMode::Dynamic, net::VcaMode::StaticSet,
+        net::VcaMode::Edvca, net::VcaMode::Faa};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng draw(seed * 7919);
+        net::NetworkConfig cfg;
+        cfg.router.net_vcs = static_cast<std::uint32_t>(1 + draw.below(8));
+        cfg.router.cpu_vcs = static_cast<std::uint32_t>(1 + draw.below(8));
+        cfg.router.net_vc_capacity =
+            static_cast<std::uint32_t>(1 + draw.below(4));
+        cfg.router.vca_mode = kVca[draw.below(4)];
+        cfg.link_latency = static_cast<Cycle>(1 + draw.below(2));
+        cfg.bidirectional_links = draw.below(2) == 1;
+        const Topology topo = Topology::mesh2d(4, 4);
+        System sys(topo, cfg, seed);
+        const auto pattern = traffic::pattern_by_name("uniform", 16);
+        net::routing::build_xy(sys.network(), traffic::flows_all_pairs(16));
+        for (NodeId n = 0; n < 16; ++n) {
+            traffic::SyntheticConfig sc;
+            sc.pattern = pattern;
+            sc.packet_size = static_cast<std::uint32_t>(1 + draw.below(6));
+            sc.rate = 0.05 + 0.05 * static_cast<double>(draw.below(6));
+            sc.stop_at = 200;
+            sys.add_frontend(
+                n, std::make_unique<traffic::SyntheticInjector>(
+                       sys.tile(n), sc));
+        }
+        const unsigned threads = seed % 3 == 0 ? 2 : 1;
+        sim::CycleAccurateSync policy;
+        sim::EngineOptions opts;
+        opts.schedule = sim::Schedule::Poll;
+        for (Cycle c = 1; c <= 300; ++c) {
+            opts.max_cycles = c;
+            sys.run(policy, opts, threads);
+            for (NodeId n = 0; n < 16; ++n)
+                ASSERT_TRUE(
+                    sys.network().router(n).ingress_masks_cover_buffers())
+                    << "seed " << seed << " cycle " << c << " router " << n;
+        }
+        EXPECT_GT(sys.collect_stats().total.flits_delivered, 0u);
+    }
+}
+
+TEST(Router, MoreThan64VcsPerPortIsRejected)
+{
+    // Each ingress port's occupancy mask is one 64-bit word, so a
+    // wider port is a configuration error at construction time.
+    const Topology topo = Topology::mesh2d(2, 2);
+    net::NetworkConfig cfg;
+    cfg.router.net_vcs = 65;
+    EXPECT_THROW(System(topo, cfg, 1), std::runtime_error);
+    cfg.router.net_vcs = 4;
+    cfg.router.cpu_vcs = 65;
+    EXPECT_THROW(System(topo, cfg, 1), std::runtime_error);
+    cfg.router.net_vcs = 64;
+    cfg.router.cpu_vcs = 64;
+    EXPECT_NO_THROW(System(topo, cfg, 1));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <fstream>
 
+#include "../examples/demo_config.h"
 #include "traffic/flows.h"
 #include "traffic/system_builder.h"
 #include "traffic/trace.h"
@@ -187,6 +188,46 @@ TEST(SystemBuilder, TraceKindLoadsAndRuns)
     opts.stop_when_done = true;
     sys->run(opts);
     EXPECT_EQ(sys->collect_stats().total.packets_delivered, 2u);
+}
+
+/** Interpret @p text the way examples/config_run does — run options,
+ *  then the system — then reject the keys nothing read. */
+void
+build_and_check_keys(const std::string &text)
+{
+    const Config cfg = Config::from_string(text);
+    traffic::run_options_from_config(cfg);
+    build_system(cfg);
+    cfg.reject_unread_keys();
+}
+
+/** The message build_and_check_keys(@p text) fails with ("" if none). */
+std::string
+unread_key_error(const std::string &text)
+{
+    try {
+        build_and_check_keys(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SystemBuilder, UnknownKeysAreRejectedAfterBuild)
+{
+    // A misspelled key used to be ignored silently, leaving the
+    // default in force; config_run now fails and lists it.
+    const std::string mesh = "[topology]\nwidth = 2\nheight = 2\n";
+    EXPECT_EQ(unread_key_error(mesh + "[sim]\nschedual = event-fine\n"),
+              "fatal: config: unknown key(s) nothing read: sim.schedual");
+    // A key of another topology kind is not read either.
+    EXPECT_EQ(unread_key_error(mesh + "nodes = 9\n"),
+              "fatal: config: unknown key(s) nothing read: topology.nodes");
+
+    // The demo experiment and the spelled-out schedule key pass.
+    EXPECT_NO_THROW(build_and_check_keys(examples::kDemoConfig));
+    EXPECT_NO_THROW(
+        build_and_check_keys(mesh + "[sim]\nschedule = event-fine\n"));
 }
 
 } // namespace

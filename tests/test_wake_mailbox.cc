@@ -143,7 +143,7 @@ struct SleepingShard
                 static_cast<NodeId>(i), /*seed=*/i + 1));
             shard.add_tile(tiles.back().get());
         }
-        shard.prepare_run(sim::Schedule::Event);
+        shard.prepare_run(sim::Schedule::EventFine);
         shard.posedge();
         shard.negedge();
         EXPECT_EQ(shard.active_tiles(), 0u);
@@ -225,7 +225,7 @@ TEST(WakeMailbox, WakeForActiveTileIsNoOp)
             static_cast<NodeId>(i), /*seed=*/i + 1));
         shard.add_tile(tiles.back().get());
     }
-    shard.prepare_run(sim::Schedule::Event); // all tiles start active
+    shard.prepare_run(sim::Schedule::EventFine); // all tiles start active
     EXPECT_EQ(shard.active_tiles(), kTiles);
 
     std::thread poster([&] {
@@ -280,7 +280,7 @@ TEST(WakeMailbox, LockstepMultiShardRunStaysBitwiseIdentical)
     sim::CycleAccurateSync policy;
     sim::EngineOptions opts;
     opts.max_cycles = 1500;
-    opts.schedule = sim::Schedule::Event;
+    opts.schedule = sim::Schedule::EventFine;
     sys->run(policy, opts, /*threads=*/4);
     EXPECT_EQ(testutil::snapshot(sys->collect_stats()), ref);
 }
