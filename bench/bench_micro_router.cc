@@ -39,11 +39,14 @@ BM_RoutingTableLookup(benchmark::State &state)
 {
     net::RoutingTable table(0);
     for (FlowId f = 0; f < 1024; ++f)
-        table.add(f % 5, f, net::RouteResult{1, f, 1.0});
+        table.add({static_cast<NodeId>(f % 5), f},
+                  net::RouteResult{1, f, 1.0});
+    table.freeze();
     Rng rng(3);
     FlowId f = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(table.pick(f % 5, f, rng));
+        benchmark::DoNotOptimize(
+            table.pick({static_cast<NodeId>(f % 5), f}, rng));
         f = (f + 1) % 1024;
     }
 }

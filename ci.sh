@@ -5,7 +5,8 @@
 #   ./ci.sh            # regular build, both shard schedulers (poll,
 #                      # event-fine), plus the full differential
 #                      # sweep (`long`)
-#   ./ci.sh --tsan     # ThreadSanitizer build of the test suite
+#   ./ci.sh --tsan     # ThreadSanitizer build of the test suite,
+#                      # plus the full differential sweep
 #   ./ci.sh --asan     # AddressSanitizer+UBSan build of the suite
 #   ./ci.sh --bench    # perf-regression smoke: bench --quick --json vs
 #                      # bench/baselines/, hard-gated (>15% fails)
@@ -26,9 +27,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
     # race-clean. Run under the event-fine scheduler — it exercises
     # the cross-thread wake path on top of the ring protocols — with
     # second-deadlock detection on. The differential harness inside
-    # the run covers poll and event-fine explicitly. The full `long`
-    # sweep stays in the uninstrumented run (it would dominate a
-    # sanitizer leg); its quick subset runs here.
+    # the run covers poll and event-fine explicitly. The full
+    # differential sweep (about 80 s on 4 cores) runs too, so
+    # concurrent System construction stays race-checked.
     cmake -B build-tsan -S . -DHORNET_TSAN=ON
     cmake --build build-tsan -j "$JOBS"
     echo "== ctest (ThreadSanitizer, HORNET_SCHEDULE=event-fine) =="
@@ -37,6 +38,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
              TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
              ctest --output-on-failure --no-tests=error -LE long \
              -j "$JOBS")
+    echo "== full differential sweep (ThreadSanitizer, event-fine) =="
+    (cd build-tsan &&
+         HORNET_DIFF_FULL=1 HORNET_SCHEDULE=event-fine \
+             TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+             ./test_differential)
     echo "TSAN OK"
     exit 0
 fi
@@ -128,8 +134,8 @@ if [[ "${1:-}" == "--bench" ]]; then
     # both attempts anyway.
     cmake -B build -S .
     cmake --build build -j "$JOBS" \
-        --target bench_vc_buffer bench_event_driven bench_route_lookup \
-        bench_job_engine bench_topology_gallery
+        --target bench_vc_buffer bench_event_driven bench_job_engine \
+        bench_topology_gallery
     mkdir -p build/bench-reports
     check_bench() { # <name>: run <name> --quick and compare
         local name="$1" attempt
@@ -149,7 +155,6 @@ if [[ "${1:-}" == "--bench" ]]; then
     echo "== bench smoke (--quick) =="
     check_bench bench_vc_buffer
     check_bench bench_event_driven
-    check_bench bench_route_lookup
     check_bench bench_job_engine
     check_bench bench_topology_gallery
     echo "BENCH OK"

@@ -16,8 +16,14 @@
 #if defined(HORNET_ARENA_ASAN)
 #include <sanitizer/asan_interface.h>
 // Red zone appended after every allocation so neighbouring carves
-// cannot silently run into each other.
-static constexpr std::size_t kRedzoneBytes = 32;
+// cannot silently run into each other. One chunk alignment long, so
+// within a chunk it never changes the padding of a next carve aligned
+// to at most that (every type the simulator places). Red zones fill
+// chunks sooner, though: after a chunk switch that a build without
+// ASan makes at another point, later carves may pad differently (by
+// less than their alignment each), so bytes_used() is close to, not
+// equal to, the plain build's.
+static constexpr std::size_t kRedzoneBytes = 64;
 #define HORNET_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
 #define HORNET_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
 #else
@@ -31,6 +37,8 @@ namespace hornet::common {
 namespace {
 
 constexpr std::size_t kChunkAlign = 64; // >= kCacheLineSize
+static_assert(kRedzoneBytes % kChunkAlign == 0,
+              "a red zone must not shift the next carve's alignment");
 
 constexpr bool
 is_pow2(std::size_t x)
@@ -104,7 +112,8 @@ Arena::allocate(std::size_t bytes, std::size_t align)
     }
     void *p = reinterpret_cast<void *>(aligned);
     HORNET_ARENA_UNPOISON(p, bytes);
-    used_ += (aligned - cur_) + bytes + kRedzoneBytes;
+    used_ += (aligned - cur_) + bytes;
+    redzone_ += kRedzoneBytes;
     cur_ = aligned + bytes + kRedzoneBytes;
     return p;
 }
@@ -118,6 +127,7 @@ Arena::reset()
     for (const Chunk &c : chunks_)
         HORNET_ARENA_POISON(c.base, c.size);
     used_ = 0;
+    redzone_ = 0;
     cur_ = 0;
     end_ = 0;
     if (!chunks_.empty())

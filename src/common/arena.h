@@ -122,8 +122,14 @@ class Arena
     void reset();
 
     /** Bytes handed out since the last reset, including alignment
-     *  padding (and, under ASan, red zones). */
+     *  padding. ASan red zones are counted apart (bytes_redzone()); the
+     *  padding matches a plain build's only up to the first chunk
+     *  switch (see kRedzoneBytes in arena.cc). */
     std::size_t bytes_used() const { return used_; }
+
+    /** Bytes of ASan red zones carved since the last reset (0 in
+     *  builds without ASan). */
+    std::size_t bytes_redzone() const { return redzone_; }
 
     /** Total payload bytes of all chunks ever allocated. */
     std::size_t bytes_reserved() const { return reserved_; }
@@ -158,6 +164,7 @@ class Arena
     std::uintptr_t cur_ = 0;  ///< bump cursor into the active chunk
     std::uintptr_t end_ = 0;  ///< end of the active chunk's payload
     std::size_t used_ = 0;
+    std::size_t redzone_ = 0;
     std::size_t reserved_ = 0;
     std::vector<Dtor> dtors_;
 };

@@ -1,14 +1,10 @@
 /**
  * @file
- * Build-once open-addressing lookup table for the per-flit hot path
- * (ROADMAP: "Close the remaining per-flit cost").
+ * Build-once open-addressing lookup table for the per-flit hot path.
  *
- * The routing and VC-allocation tables are immutable at run time, but
- * were stored as `std::unordered_map<Key, std::vector<Result>>`: every
- * per-flit lookup paid a bucket-pointer chase into a heap-scattered
- * node, then a second indirection into the option vector — ~25% of a
- * low-rate 16x16 run (BENCHMARKS.md). FlatTable is the frozen form the
- * tables compile into after construction:
+ * The routing and VC-allocation tables (net::OptionTable) and the
+ * per-tile flow-statistics index are immutable at run time. FlatTable
+ * is the frozen form they compile into after construction:
  *
  *  - linear-probe open addressing over a power-of-two slot array at
  *    <= 50% load, so a lookup is one hash, one masked index, and a
@@ -20,13 +16,15 @@
  *    a router's table probes stay in its own cache/NUMA lines.
  *
  * The table is immutable once built: there is no insert, erase, or
- * tombstone — mutation belongs to the map form the owner keeps during
- * construction and drops at freeze time.
+ * tombstone. Mutation belongs to the owner's build phase (the records
+ * an OptionTable collects until freeze()). Copies are views of the
+ * same immutable storage (OptionTable::adopt); a private fallback
+ * arena is shared among them.
  *
  * The precomputed per-entry total weight uses the same left-to-right
  * accumulation as Rng::pick_weighted's std::accumulate, so a weighted
- * pick over a frozen entry draws bit-for-bit the same result as the
- * map-backed path did (the determinism contract of the freeze).
+ * pick over a frozen entry draws bit-for-bit what a pick over the
+ * same options in a vector would.
  */
 #ifndef HORNET_COMMON_FLAT_TABLE_H
 #define HORNET_COMMON_FLAT_TABLE_H
@@ -36,8 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
-#include <vector>
 
 #include "common/arena.h"
 #include "common/log.h"
@@ -45,10 +41,9 @@
 namespace hornet::common {
 
 /**
- * One frozen table entry: a read-only view of a packed option list.
- * Mimics the `const std::vector<V> *` the map-backed tables used to
- * return (size/empty/front/operator[]/range-for), so call sites keep
- * their idioms across the freeze.
+ * One frozen table entry: a read-only view of a packed option list
+ * with the container idioms call sites use (size/empty/front/
+ * operator[]/range-for).
  */
 template <typename V>
 struct FlatEntry
@@ -80,10 +75,8 @@ struct FlatEntry
 };
 
 /**
- * Recompute a FlatEntry's total weight from its options, left to
- * right — the shared helper both the frozen build and the map-backed
- * building-phase lookups use, so the two paths are bitwise identical.
- * Option types without a `weight` member total 0.0.
+ * A FlatEntry's total weight: its options' weights summed left to
+ * right. Option types without a `weight` member total 0.0.
  */
 template <typename V>
 inline double
@@ -123,7 +116,7 @@ class FlatTable
     /** Slot marker: no entry hashed here. */
     static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
-    /** True once build()/begin_build() has run. */
+    /** True once begin_build() has run. */
     bool built() const { return slots_ != nullptr; }
 
     /** Number of keys in the table. */
@@ -155,7 +148,7 @@ class FlatTable
             const std::size_t need =
                 sizeof(Slot) * 4 * (n_keys + 2) + sizeof(Entry) * (n_keys + 1) +
                 sizeof(V) * (n_values + 1) + 256;
-            own_arena_ = std::make_unique<Arena>(need);
+            own_arena_ = std::make_shared<Arena>(need);
             arena = own_arena_.get();
         }
         std::size_t cap = std::bit_ceil(std::max<std::size_t>(8, n_keys * 2));
@@ -207,24 +200,6 @@ class FlatTable
             max_probe_ = probes;
         ++num_entries_;
         --keys_left_;
-    }
-
-    /**
-     * One-shot build from the mutable map form the owner kept during
-     * construction. Entry order follows the map's iteration order
-     * (deterministic for a given insertion sequence), which only
-     * affects slab layout, never lookup results.
-     */
-    void
-    build(const std::unordered_map<K, std::vector<V>, H> &src,
-          Arena *arena = nullptr)
-    {
-        std::size_t n_values = 0;
-        for (const auto &kv : src)
-            n_values += kv.second.size();
-        begin_build(src.size(), n_values, arena);
-        for (const auto &kv : src)
-            add_entry(kv.first, kv.second.data(), kv.second.size());
     }
 
     /**
@@ -285,8 +260,9 @@ class FlatTable
     std::size_t values_left_ = 0;
     std::size_t keys_left_ = 0;
     std::uint32_t max_probe_ = 0;
-    /** Fallback storage when no placement arena was supplied. */
-    std::unique_ptr<Arena> own_arena_;
+    /** Fallback storage when no placement arena was supplied (shared
+     *  by copies of the table). */
+    std::shared_ptr<Arena> own_arena_;
 };
 
 } // namespace hornet::common

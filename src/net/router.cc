@@ -236,8 +236,8 @@ void
 Router::do_route_compute(IngressPort &ip, VcState &st, const Flit &f)
 {
     // One probe serves both the option scan and the weighted pick
-    // below (pick_from) — the map era paid the lookup twice.
-    const auto *opts = table_.lookup(ip.prev_node, f.flow);
+    // below (pick_from).
+    const auto *opts = table_.lookup({ip.prev_node, f.flow});
     if (opts == nullptr || opts->empty()) {
         panic(strcat("router ", id_, ": no route for flow ", f.flow,
                      " from prev ", ip.prev_node, " (",

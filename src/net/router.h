@@ -114,6 +114,13 @@ class Router : public sim::Clocked
     const VcaTable &vca_table() const { return vca_table_; }
 
     /**
+     * Freeze the routing table alone into this router's arena: the
+     * VCA builders read routing tables frozen while they still add to
+     * the VCA tables. Idempotent.
+     */
+    void freeze_routing_table() { table_.freeze(arena_); }
+
+    /**
      * Compile the routing and VCA tables into their frozen flat forms
      * (common::FlatTable), carving storage from the arena this router
      * was constructed into, so its per-flit probes stay in its own
@@ -124,7 +131,7 @@ class Router : public sim::Clocked
     void
     freeze_tables()
     {
-        table_.freeze(arena_);
+        freeze_routing_table();
         vca_table_.freeze(arena_);
     }
 

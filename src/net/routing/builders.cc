@@ -19,19 +19,19 @@ install_single_phase_path(Network &net, const std::vector<NodeId> &path,
 
     if (path.size() == 1) {
         // Local delivery: injected flits route straight to the CPU port.
-        net.router(s).routing_table().add(s, base,
+        net.router(s).routing_table().add({s, base},
                                           RouteResult{s, base, weight});
         return;
     }
     // Injection step at the source (prev == self), renaming into phase.
-    net.router(s).routing_table().add(s, base,
+    net.router(s).routing_table().add({s, base},
                                       RouteResult{path[1], ph, weight});
     for (std::size_t i = 1; i + 1 < path.size(); ++i) {
         net.router(path[i]).routing_table().add(
-            path[i - 1], ph, RouteResult{path[i + 1], ph, weight});
+            {path[i - 1], ph}, RouteResult{path[i + 1], ph, weight});
     }
     // Delivery entry at the destination restores the base flow id.
-    net.router(d).routing_table().add(path[path.size() - 2], ph,
+    net.router(d).routing_table().add({path[path.size() - 2], ph},
                                       RouteResult{d, base, weight});
 }
 

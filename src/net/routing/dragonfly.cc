@@ -126,18 +126,18 @@ install_via_router(Network &net, const DfGeom &geo, const FlowSpec &f,
     seg2.push_back(f.dst);
 
     // Phase-1 hops toward m; the injection entry renames into phase 1.
-    table(f.src).add(f.src, f.id, RouteResult{seg1[1], ph1, 1.0});
+    table(f.src).add({f.src, f.id}, RouteResult{seg1[1], ph1, 1.0});
     for (std::size_t i = 1; i + 1 < seg1.size(); ++i)
-        table(seg1[i]).add(seg1[i - 1], ph1,
+        table(seg1[i]).add({seg1[i - 1], ph1},
                            RouteResult{seg1[i + 1], ph1, 1.0});
     // Rename at m and continue in phase 2.
-    table(m).add(seg1[seg1.size() - 2], ph1,
+    table(m).add({seg1[seg1.size() - 2], ph1},
                  RouteResult{seg2[1], ph2, 1.0});
     for (std::size_t i = 1; i + 1 < seg2.size(); ++i)
-        table(seg2[i]).add(seg2[i - 1], ph2,
+        table(seg2[i]).add({seg2[i - 1], ph2},
                            RouteResult{seg2[i + 1], ph2, 1.0});
     // Delivery restores the base flow id.
-    table(f.dst).add(seg2[seg2.size() - 2], ph2,
+    table(f.dst).add({seg2[seg2.size() - 2], ph2},
                      RouteResult{f.dst, f.id, 1.0});
 }
 
@@ -152,7 +152,7 @@ build_dragonfly_minimal(Network &net, const std::vector<FlowSpec> &flows)
     for (const auto &f : flows) {
         if (f.src == f.dst) {
             net.router(f.src).routing_table().add(
-                f.src, f.id, RouteResult{f.src, f.id, 1.0});
+                {f.src, f.id}, RouteResult{f.src, f.id, 1.0});
             continue;
         }
         install_single_phase_path(net, direct_path(geo, f.src, f.dst),
@@ -169,7 +169,7 @@ build_dragonfly_valiant(Network &net, const std::vector<FlowSpec> &flows)
     for (const auto &f : flows) {
         if (f.src == f.dst) {
             net.router(f.src).routing_table().add(
-                f.src, f.id, RouteResult{f.src, f.id, 1.0});
+                {f.src, f.id}, RouteResult{f.src, f.id, 1.0});
             continue;
         }
         const NodeId rs = geo.switch_of(f.src);

@@ -19,7 +19,7 @@ build_o1turn(Network &net, const std::vector<FlowSpec> &flows)
     for (const auto &f : flows) {
         if (f.src == f.dst) {
             net.router(f.src).routing_table().add(
-                f.src, f.id, RouteResult{f.src, f.id, 1.0});
+                {f.src, f.id}, RouteResult{f.src, f.id, 1.0});
             continue;
         }
         install_single_phase_path(net, xy_path(topo, f.src, f.dst), f.id,

@@ -52,7 +52,7 @@ build_prom(Network &net, const std::vector<FlowSpec> &flows)
             return net.router(n).routing_table();
         };
         if (f.src == f.dst) {
-            tbl(f.src).add(f.src, f.id, RouteResult{f.src, f.id, 1.0});
+            tbl(f.src).add({f.src, f.id}, RouteResult{f.src, f.id, 1.0});
             continue;
         }
         const std::int32_t sx = static_cast<std::int32_t>(topo.x_of(f.src));
@@ -96,7 +96,7 @@ build_prom(Network &net, const std::vector<FlowSpec> &flows)
 
                 for (NodeId prev : prevs) {
                     if (rx == 0 && ry == 0) {
-                        tbl(u).add(prev, f.id,
+                        tbl(u).add({prev, f.id},
                                    RouteResult{u, f.id, 1.0});
                         continue;
                     }
@@ -104,7 +104,7 @@ build_prom(Network &net, const std::vector<FlowSpec> &flows)
                         const NodeId nx = topo.node_at(
                             static_cast<std::uint32_t>(ux + step_x),
                             static_cast<std::uint32_t>(uy));
-                        tbl(u).add(prev, f.id,
+                        tbl(u).add({prev, f.id},
                                    RouteResult{nx, f.id,
                                                binom(rx - 1 + ry, ry)});
                     }
@@ -112,7 +112,7 @@ build_prom(Network &net, const std::vector<FlowSpec> &flows)
                         const NodeId ny = topo.node_at(
                             static_cast<std::uint32_t>(ux),
                             static_cast<std::uint32_t>(uy + step_y));
-                        tbl(u).add(prev, f.id,
+                        tbl(u).add({prev, f.id},
                                    RouteResult{ny, f.id,
                                                binom(rx + ry - 1, rx)});
                     }

@@ -36,43 +36,43 @@ install_via(Network &net, const FlowSpec &f, NodeId m)
     };
 
     if (f.src == f.dst) {
-        table(f.src).add(f.src, f.id, RouteResult{f.src, f.id, 1.0});
+        table(f.src).add({f.src, f.id}, RouteResult{f.src, f.id, 1.0});
         return;
     }
 
     const auto seg2 = xy_path(topo, m, f.dst);
     if (m == f.src) {
         // The whole journey is phase 2.
-        table(f.src).add(f.src, f.id, RouteResult{seg2[1], ph2, 1.0});
+        table(f.src).add({f.src, f.id}, RouteResult{seg2[1], ph2, 1.0});
         for (std::size_t i = 1; i + 1 < seg2.size(); ++i) {
-            table(seg2[i]).add(seg2[i - 1], ph2,
+            table(seg2[i]).add({seg2[i - 1], ph2},
                                RouteResult{seg2[i + 1], ph2, 1.0});
         }
-        table(f.dst).add(seg2[seg2.size() - 2], ph2,
+        table(f.dst).add({seg2[seg2.size() - 2], ph2},
                          RouteResult{f.dst, f.id, 1.0});
         return;
     }
 
     const auto seg1 = xy_path(topo, f.src, m);
     // Phase-1 hops toward the intermediate.
-    table(f.src).add(f.src, f.id, RouteResult{seg1[1], ph1, 1.0});
+    table(f.src).add({f.src, f.id}, RouteResult{seg1[1], ph1, 1.0});
     for (std::size_t i = 1; i + 1 < seg1.size(); ++i) {
-        table(seg1[i]).add(seg1[i - 1], ph1,
+        table(seg1[i]).add({seg1[i - 1], ph1},
                            RouteResult{seg1[i + 1], ph1, 1.0});
     }
     const NodeId before_m = seg1[seg1.size() - 2];
     if (m == f.dst) {
         // Intermediate == destination: deliver out of phase 1.
-        table(f.dst).add(before_m, ph1, RouteResult{f.dst, f.id, 1.0});
+        table(f.dst).add({before_m, ph1}, RouteResult{f.dst, f.id, 1.0});
         return;
     }
     // Rename at the intermediate node and continue in phase 2.
-    table(m).add(before_m, ph1, RouteResult{seg2[1], ph2, 1.0});
+    table(m).add({before_m, ph1}, RouteResult{seg2[1], ph2, 1.0});
     for (std::size_t i = 1; i + 1 < seg2.size(); ++i) {
-        table(seg2[i]).add(seg2[i - 1], ph2,
+        table(seg2[i]).add({seg2[i - 1], ph2},
                            RouteResult{seg2[i + 1], ph2, 1.0});
     }
-    table(f.dst).add(seg2[seg2.size() - 2], ph2,
+    table(f.dst).add({seg2[seg2.size() - 2], ph2},
                      RouteResult{f.dst, f.id, 1.0});
 }
 
@@ -86,7 +86,7 @@ build_two_phase(Network &net, const std::vector<FlowSpec> &flows,
     for (const auto &f : flows) {
         if (f.src == f.dst) {
             net.router(f.src).routing_table().add(
-                f.src, f.id, RouteResult{f.src, f.id, 1.0});
+                {f.src, f.id}, RouteResult{f.src, f.id, 1.0});
             continue;
         }
         if (min_rectangle) {

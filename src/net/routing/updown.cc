@@ -64,7 +64,7 @@ install_updown(Network &net, const FtGeom &g, const FlowSpec &f)
         return net.router(n).routing_table();
     };
     if (f.src == f.dst) {
-        table(f.src).add(f.src, f.id, RouteResult{f.src, f.id, 1.0});
+        table(f.src).add({f.src, f.id}, RouteResult{f.src, f.id, 1.0});
         return;
     }
     const std::uint32_t L = nca_level(g, f.src, f.dst);
@@ -83,7 +83,7 @@ install_updown(Network &net, const FtGeom &g, const FlowSpec &f)
             for (std::uint32_t chat = 0; chat < g.k; ++chat) {
                 const NodeId parent = g.node(
                     l + 1, a_s / g.k, chat * g.pow_k[l] + c);
-                table(n).add(prev, f.id, RouteResult{parent, f.id, 1.0});
+                table(n).add({prev, f.id}, RouteResult{parent, f.id, 1.0});
             }
         }
     }
@@ -96,7 +96,7 @@ install_updown(Network &net, const FtGeom &g, const FlowSpec &f)
                                    c % g.pow_k[L - 1]);
         const NodeId next = g.node(L - 1, f.dst / g.pow_k[L - 1],
                                    c % g.pow_k[L - 1]);
-        table(n).add(prev, f.id, RouteResult{next, f.id, 1.0});
+        table(n).add({prev, f.id}, RouteResult{next, f.id, 1.0});
     }
 
     // Down phase: deterministic descent through the ancestors-of-dst
@@ -112,7 +112,7 @@ install_updown(Network &net, const FtGeom &g, const FlowSpec &f)
             for (std::uint32_t chat = 0; chat < g.k; ++chat) {
                 const NodeId prev = g.node(
                     l + 1, a_d / g.k, chat * g.pow_k[l] + c);
-                table(n).add(prev, f.id, RouteResult{next, f.id, 1.0});
+                table(n).add({prev, f.id}, RouteResult{next, f.id, 1.0});
             }
         }
     }
@@ -120,7 +120,7 @@ install_updown(Network &net, const FtGeom &g, const FlowSpec &f)
     // Delivery at the destination host, from any of its k parents.
     for (std::uint32_t chat = 0; chat < g.k; ++chat) {
         const NodeId prev = g.node(1, f.dst / g.k, chat);
-        table(f.dst).add(prev, f.id, RouteResult{f.dst, f.id, 1.0});
+        table(f.dst).add({prev, f.id}, RouteResult{f.dst, f.id, 1.0});
     }
 }
 

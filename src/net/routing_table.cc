@@ -6,121 +6,29 @@
 
 namespace hornet::net {
 
-void
-RoutingTable::add(NodeId prev_node, FlowId flow, const RouteResult &result)
-{
-    if (frozen_)
-        panic(strcat("routing table at node ", node_,
-                     ": add() after freeze() (", describe(), ")"));
-    if (result.weight <= 0.0)
-        fatal("routing table: weights must be positive");
-    auto &opts = entries_[RouteKey{prev_node, flow}].opts;
-    for (auto &o : opts) {
-        if (o.next_node == result.next_node &&
-            o.next_flow == result.next_flow) {
-            o.weight += result.weight;
-            return;
-        }
-    }
-    opts.push_back(result);
-}
-
-const RoutingTable::Options *
-RoutingTable::lookup(NodeId prev_node, FlowId flow) const
-{
-    if (frozen_)
-        return flat().lookup(RouteKey{prev_node, flow});
-    auto it = entries_.find(RouteKey{prev_node, flow});
-    if (it == entries_.end())
-        return nullptr;
-    const auto &opts = it->second.opts;
-    Options &view = it->second.view;
-    view.data = opts.data();
-    view.count = static_cast<std::uint32_t>(opts.size());
-    view.total_weight = common::flat_total_weight(opts.data(), opts.size());
-    return &view;
-}
-
 const RouteResult &
-RoutingTable::pick(NodeId prev_node, FlowId flow, Rng &rng) const
+RoutingTable::pick(const RouteKey &key, Rng &rng) const
 {
-    const Options *opts = lookup(prev_node, flow);
+    const Options *opts = lookup(key);
     if (opts == nullptr || opts->empty()) {
         panic(strcat("routing table at node ", node_, ": no entry for prev=",
-                     prev_node, " flow=", flow, " (", describe(), ")"));
+                     key.prev_node, " flow=", key.flow, " (", describe(),
+                     ")"));
     }
     return pick_from(*opts, rng);
-}
-
-void
-RoutingTable::freeze(common::Arena *arena)
-{
-    if (frozen_)
-        return;
-    std::size_t n_values = 0;
-    for (const auto &kv : entries_)
-        n_values += kv.second.opts.size();
-    flat_.begin_build(entries_.size(), n_values, arena);
-    for (const auto &kv : entries_)
-        flat_.add_entry(kv.first, kv.second.opts.data(),
-                        kv.second.opts.size());
-    decltype(entries_)().swap(entries_); // drop the map and its buckets
-    frozen_ = true;
-}
-
-void
-RoutingTable::adopt(const RoutingTable &donor)
-{
-    if (frozen_ || !entries_.empty())
-        panic(strcat("routing table at node ", node_,
-                     ": adopt() on a non-empty table (", describe(), ")"));
-    if (!donor.frozen())
-        panic(strcat("routing table at node ", node_,
-                     ": adopt() of an unfrozen donor (", donor.describe(),
-                     ")"));
-    // Chain-resolve so adopting an adopter still points at the one
-    // original storage (the blueprint prototype's).
-    shared_ = donor.shared_ != nullptr ? donor.shared_ : &donor.flat_;
-    frozen_ = true;
-}
-
-std::vector<RouteKey>
-RoutingTable::keys() const
-{
-    std::vector<RouteKey> out;
-    if (frozen_) {
-        out.reserve(flat().size());
-        flat().for_each_key(
-            [&](const RouteKey &k, const Options &) { out.push_back(k); });
-        return out;
-    }
-    out.reserve(entries_.size());
-    for (const auto &kv : entries_)
-        out.push_back(kv.first);
-    return out;
-}
-
-std::string
-RoutingTable::describe() const
-{
-    if (frozen_)
-        return strcat(shared_ != nullptr ? "adopted" : "frozen",
-                      " flat table: ", flat().size(), " entries, capacity ",
-                      flat().capacity(), ", max probe ", flat().max_probe());
-    return strcat("unfrozen map: ", entries_.size(), " entries");
 }
 
 std::vector<FlowId>
 deliverable_flows(const RoutingTable &table, NodeId node)
 {
     std::vector<FlowId> flows;
-    for (const RouteKey &k : table.keys()) {
-        const RoutingTable::Options *opts = table.lookup(k.prev_node, k.flow);
-        for (std::uint32_t i = 0; i < opts->count; ++i) {
-            if ((*opts)[i].next_node == node)
-                flows.push_back((*opts)[i].next_flow);
-        }
-    }
+    table.for_each(
+        [&](const RouteKey &, const RoutingTable::Options &opts) {
+            for (const RouteResult &o : opts) {
+                if (o.next_node == node)
+                    flows.push_back(o.next_flow);
+            }
+        });
     std::sort(flows.begin(), flows.end());
     flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
     return flows;

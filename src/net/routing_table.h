@@ -12,28 +12,23 @@
  *
  * Delivery is expressed as next_node_id == the node itself.
  *
- * The table has two phases. While building (the routing builders run
- * at construction time) entries live in a mutable hash map and add()
- * accumulates weights. freeze() then compiles the map into a
- * common::FlatTable — single-probe open addressing with all option
- * lists packed into one arena slab — and drops the map; the per-flit
- * hot path (Router::do_route_compute) only ever sees the frozen form.
- * add() after freeze() panics. Lookups work identically in both
- * phases: they return a FlatEntry view (or nullptr when absent) whose
- * precomputed total weight keeps the weighted pick's RNG draws
- * bit-for-bit identical to the historical map-backed path.
+ * The table is a net::OptionTable: the routing builders add() records
+ * at construction time, freeze() sorts and merges them into a frozen
+ * common::FlatTable in the router's arena, and only the frozen form is
+ * read — by the per-flit hot path (Router::do_route_compute) and by
+ * the VCA builders, which freeze the routing tables before they walk
+ * them.
  */
 #ifndef HORNET_NET_ROUTING_TABLE_H
 #define HORNET_NET_ROUTING_TABLE_H
 
+#include <compare>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/flat_table.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "net/option_table.h"
 
 namespace hornet::net {
 
@@ -46,6 +41,10 @@ struct RouteResult
     FlowId next_flow = kInvalidFlow;
     /** Selection propensity among the entry's options. */
     double weight = 1.0;
+
+    /** Field-wise equality (OptionTable merges options that are equal
+     *  once their weights are). */
+    bool operator==(const RouteResult &) const = default;
 };
 
 /** Key of a routing-table entry. */
@@ -56,15 +55,12 @@ struct RouteKey
     /** Flow id carried by the packet. */
     FlowId flow;
 
-    /** Keys are equal when both fields match. */
-    bool
-    operator==(const RouteKey &o) const
-    {
-        return prev_node == o.prev_node && flow == o.flow;
-    }
+    /** Field-wise ordering (prev_node, then flow): freeze() sorts by
+     *  it, and equal keys are one entry. */
+    auto operator<=>(const RouteKey &) const = default;
 };
 
-/** Hash functor for RouteKey (map and flat-table support). */
+/** Hash functor for RouteKey (flat-table slot placement). */
 struct RouteKeyHash
 {
     /** Mix both key fields into a table hash. */
@@ -80,41 +76,27 @@ struct RouteKeyHash
 };
 
 /**
- * One node's routing table (two-phase: mutable map while building,
- * frozen flat table at run time — see the file comment).
+ * One node's routing table: an OptionTable keyed by <prev, flow> (see
+ * the file comment), plus the node it routes for and the weighted
+ * pick.
  */
-class RoutingTable
+class RoutingTable : public OptionTable<RouteKey, RouteResult, RouteKeyHash>
 {
   public:
-    /** The option-set view lookups return. */
-    using Options = common::FlatEntry<RouteResult>;
-
     /** Table of node @p node (the delivery sentinel). */
     explicit RoutingTable(NodeId node = kInvalidNode) : node_(node) {}
 
-    /** The node this table routes for. */
-    NodeId node() const { return node_; }
-
-    /** Add (accumulate) a weighted next-hop option for <prev, flow>.
-     *  Adding an option that already exists accumulates its weight.
-     *  Panics once the table is frozen. */
-    void add(NodeId prev_node, FlowId flow, const RouteResult &result);
-
-    /** All options for <prev, flow>, or nullptr when absent. The view
-     *  is stable after freeze(); while building it is invalidated by
-     *  the next add() or lookup() of the same key. */
-    const Options *lookup(NodeId prev_node, FlowId flow) const;
-
-    /** Weighted random pick among the options (panics when absent). */
-    const RouteResult &pick(NodeId prev_node, FlowId flow, Rng &rng) const;
+    /** Weighted random pick among the options for @p key (panics when
+     *  absent or unfrozen). */
+    const RouteResult &pick(const RouteKey &key, Rng &rng) const;
 
     /**
      * Weighted random pick among already-looked-up options: the hot
      * path pairs one lookup() with one pick_from() instead of paying
-     * the probe twice. Draw-for-draw identical to the map-era pick():
-     * a single-option entry draws nothing; a multi-option entry draws
-     * one uniform scaled by the precomputed total weight and
-     * subtract-scans in option order. @p opts must be non-empty.
+     * the probe twice. A single-option entry draws nothing; a
+     * multi-option entry draws one uniform scaled by the precomputed
+     * total weight and subtract-scans in option order. @p opts must be
+     * non-empty.
      */
     const RouteResult &
     pick_from(const Options &opts, Rng &rng) const
@@ -130,67 +112,8 @@ class RoutingTable
         return opts[opts.count - 1];
     }
 
-    /**
-     * Compile the mutable map into the frozen flat form, carving slots
-     * and the packed option slab from @p arena (the owning router's
-     * placement-group arena; null falls back to a private arena), then
-     * drop the map. Idempotent; after it, add() panics.
-     */
-    void freeze(common::Arena *arena = nullptr);
-
-    /**
-     * Share a donor's frozen flat table instead of building one: all
-     * frozen-phase reads (lookup/keys/size/describe) are served from
-     * the donor's storage, so per-run Systems instantiated from a
-     * sim::SystemBlueprint skip the whole build+freeze pass and share
-     * one read-only table across concurrent runs. Panics unless this
-     * table is empty and unfrozen and @p donor is frozen. The donor
-     * (or the blueprint owning it) must outlive this table; adoption
-     * chains resolve to the original storage, so adopting an adopter
-     * is fine. After adopt() this table reports frozen() and add()
-     * panics, exactly as after freeze().
-     */
-    void adopt(const RoutingTable &donor);
-
-    /** True once freeze() (or adopt()) has run. */
-    bool frozen() const { return frozen_; }
-
-    /** Number of table entries (keys). */
-    std::size_t
-    size() const
-    {
-        return frozen_ ? flat().size() : entries_.size();
-    }
-
-    /** All keys (tests / table sanity checks); works in both phases. */
-    std::vector<RouteKey> keys() const;
-
-    /** One-line phase/size/probe diagnostics for panic messages. */
-    std::string describe() const;
-
   private:
-    /** Building-phase entry: the option vector plus a lookup view
-     *  refreshed on each lookup (mutable: lookups are const). */
-    struct Building
-    {
-        std::vector<RouteResult> opts; ///< accumulated options
-        mutable Options view;          ///< view returned by lookup()
-    };
-
-    /** Frozen storage to read from: adopted donor's or our own. */
-    const common::FlatTable<RouteKey, RouteResult, RouteKeyHash> &
-    flat() const
-    {
-        return shared_ != nullptr ? *shared_ : flat_;
-    }
-
     NodeId node_;
-    bool frozen_ = false;
-    std::unordered_map<RouteKey, Building, RouteKeyHash> entries_;
-    common::FlatTable<RouteKey, RouteResult, RouteKeyHash> flat_;
-    /** Donor storage when adopt() ran (null = own flat_). */
-    const common::FlatTable<RouteKey, RouteResult, RouteKeyHash> *shared_ =
-        nullptr;
 };
 
 /**
@@ -199,7 +122,7 @@ class RoutingTable
  * delivery sentinel), sorted and deduplicated. This is the flow set
  * System::freeze_tables() registers with the tile's FlowStatsTable;
  * sim::SystemBlueprint precomputes it once per node so instantiated
- * systems skip the walk. Works in both table phases.
+ * systems skip the walk. Panics when the table is unfrozen.
  */
 std::vector<FlowId> deliverable_flows(const RoutingTable &table, NodeId node);
 

@@ -36,76 +36,4 @@ to_string(VcaMode mode)
     return "?";
 }
 
-void
-VcaTable::add(const VcaKey &key, const VcaResult &result)
-{
-    if (frozen_)
-        panic(strcat("VCA table: add() after freeze() (", describe(), ")"));
-    if (result.weight <= 0.0)
-        fatal("VCA table: weights must be positive");
-    auto &opts = entries_[key].opts;
-    for (auto &o : opts) {
-        if (o.vc == result.vc) {
-            o.weight += result.weight;
-            return;
-        }
-    }
-    opts.push_back(result);
-}
-
-const VcaTable::Options *
-VcaTable::lookup(const VcaKey &key) const
-{
-    if (frozen_)
-        return flat().lookup(key);
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return nullptr;
-    const auto &opts = it->second.opts;
-    Options &view = it->second.view;
-    view.data = opts.data();
-    view.count = static_cast<std::uint32_t>(opts.size());
-    view.total_weight = common::flat_total_weight(opts.data(), opts.size());
-    return &view;
-}
-
-void
-VcaTable::freeze(common::Arena *arena)
-{
-    if (frozen_)
-        return;
-    std::size_t n_values = 0;
-    for (const auto &kv : entries_)
-        n_values += kv.second.opts.size();
-    flat_.begin_build(entries_.size(), n_values, arena);
-    for (const auto &kv : entries_)
-        flat_.add_entry(kv.first, kv.second.opts.data(),
-                        kv.second.opts.size());
-    decltype(entries_)().swap(entries_); // drop the map and its buckets
-    frozen_ = true;
-}
-
-void
-VcaTable::adopt(const VcaTable &donor)
-{
-    if (frozen_ || !entries_.empty())
-        panic(strcat("VCA table: adopt() on a non-empty table (", describe(),
-                     ")"));
-    if (!donor.frozen())
-        panic(strcat("VCA table: adopt() of an unfrozen donor (",
-                     donor.describe(), ")"));
-    shared_ = donor.shared_ != nullptr ? donor.shared_ : &donor.flat_;
-    frozen_ = true;
-}
-
-std::string
-VcaTable::describe() const
-{
-    if (frozen_)
-        return strcat(shared_ != nullptr ? "adopted" : "frozen",
-                      " flat table: ", flat().size(), " entries, capacity ",
-                      flat().capacity(), ", max probe ", flat().max_probe());
-    return strcat("unfrozen map: ", entries_.size(), " entries");
-}
-
 } // namespace hornet::net

@@ -23,17 +23,21 @@
  * allocating router *is* the buffers' producer), exact with respect to
  * every push the router has performed and to credits committed at the
  * consumer's negedge (docs/ENGINE.md, "VcBuffer memory model").
+ *
+ * The table is a net::OptionTable: the VCA builders add() candidate
+ * records, freeze() sorts and merges them into a frozen
+ * common::FlatTable in the router's arena, and only the frozen form is
+ * read.
  */
 #ifndef HORNET_NET_VCA_H
 #define HORNET_NET_VCA_H
 
+#include <compare>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "common/flat_table.h"
 #include "common/types.h"
+#include "net/option_table.h"
 
 namespace hornet::net {
 
@@ -59,6 +63,10 @@ struct VcaResult
     VcId vc = kInvalidVc;
     /** Selection propensity among the entry's candidates. */
     double weight = 1.0;
+
+    /** Field-wise equality (OptionTable merges candidates that are
+     *  equal once their weights are). */
+    bool operator==(const VcaResult &) const = default;
 };
 
 /** Key of a VCA table entry. */
@@ -73,16 +81,12 @@ struct VcaKey
     /** Flow id after this hop's renaming. */
     FlowId next_flow;
 
-    /** Keys are equal when all four fields match. */
-    bool
-    operator==(const VcaKey &o) const
-    {
-        return prev_node == o.prev_node && flow == o.flow &&
-               next_node == o.next_node && next_flow == o.next_flow;
-    }
+    /** Field-wise ordering, in declaration order: freeze() sorts by
+     *  it, and equal keys are one entry. */
+    auto operator<=>(const VcaKey &) const = default;
 };
 
-/** Hash functor for VcaKey (unordered_map support). */
+/** Hash functor for VcaKey (flat-table slot placement). */
 struct VcaKeyHash
 {
     /** Mix the four key fields into a table hash. */
@@ -99,85 +103,13 @@ struct VcaKeyHash
 };
 
 /**
- * One node's VCA table. A missing entry means "all next-hop VCs with
- * equal weight" (pure dynamic VCA), so tables only need populating for
- * restricted schemes.
- *
- * Two-phase like RoutingTable: a mutable map while the VCA builders
- * run, compiled by freeze() into a single-probe common::FlatTable for
- * the per-packet stage-A lookup (Router::try_vc_allocate); add() after
- * freeze() panics. lookup() returns the same view type in both phases,
- * keeping the nullptr contract.
+ * One node's VCA table: an OptionTable keyed by the four-tuple (see
+ * net/option_table.h for the build/freeze/read contract). A missing
+ * entry means "all next-hop VCs with equal weight" (pure dynamic VCA),
+ * so tables only need populating for restricted schemes. The frozen
+ * form serves the per-packet stage-A lookup (Router::try_vc_allocate).
  */
-class VcaTable
-{
-  public:
-    /** The candidate-set view lookups return. */
-    using Options = common::FlatEntry<VcaResult>;
-
-    /** An empty table: pure dynamic VCA everywhere. */
-    VcaTable() = default;
-
-    /** Add (accumulate) a candidate VC for the four-tuple key.
-     *  Panics once the table is frozen. */
-    void add(const VcaKey &key, const VcaResult &result);
-
-    /** Candidate set for the key, or nullptr (= all VCs, equal weight).
-     *  The view is stable after freeze(); while building it is
-     *  invalidated by the next add() or lookup() of the same key. */
-    const Options *lookup(const VcaKey &key) const;
-
-    /**
-     * Compile the mutable map into the frozen flat form (slots and the
-     * packed candidate slab carved from @p arena; null falls back to a
-     * private arena), then drop the map. Idempotent.
-     */
-    void freeze(common::Arena *arena = nullptr);
-
-    /**
-     * Share a donor's frozen flat table instead of building one (the
-     * sim::SystemBlueprint seam — see RoutingTable::adopt, which this
-     * mirrors exactly). Panics unless this table is empty and unfrozen
-     * and @p donor is frozen; the donor must outlive this table;
-     * adoption chains resolve to the original storage.
-     */
-    void adopt(const VcaTable &donor);
-
-    /** True once freeze() (or adopt()) has run. */
-    bool frozen() const { return frozen_; }
-
-    /** Number of table entries (keys). */
-    std::size_t
-    size() const
-    {
-        return frozen_ ? flat().size() : entries_.size();
-    }
-
-    /** One-line phase/size/probe diagnostics for panic messages. */
-    std::string describe() const;
-
-  private:
-    /** Building-phase entry: candidate vector plus the lookup view
-     *  refreshed on each lookup (mutable: lookups are const). */
-    struct Building
-    {
-        std::vector<VcaResult> opts; ///< accumulated candidates
-        mutable Options view;        ///< view returned by lookup()
-    };
-
-    /** Frozen storage to read from: adopted donor's or our own. */
-    const common::FlatTable<VcaKey, VcaResult, VcaKeyHash> &
-    flat() const
-    {
-        return shared_ != nullptr ? *shared_ : flat_;
-    }
-
-    bool frozen_ = false;
-    std::unordered_map<VcaKey, Building, VcaKeyHash> entries_;
-    common::FlatTable<VcaKey, VcaResult, VcaKeyHash> flat_;
-    /** Donor storage when adopt() ran (null = own flat_). */
-    const common::FlatTable<VcaKey, VcaResult, VcaKeyHash> *shared_ = nullptr;
-};
+using VcaTable = OptionTable<VcaKey, VcaResult, VcaKeyHash>;
 
 } // namespace hornet::net
 

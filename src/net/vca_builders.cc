@@ -7,22 +7,25 @@ namespace hornet::net::vca {
 
 namespace {
 
-/** Apply @p fn to every non-delivery transition of every routing table. */
+/**
+ * Apply @p fn to every non-delivery transition of every routing table,
+ * freezing each routing table (into its router's arena) first.
+ */
 template <typename Fn>
 void
 for_each_transition(Network &net, Fn fn)
 {
     for (NodeId n = 0; n < net.num_nodes(); ++n) {
         Router &r = net.router(n);
-        const RoutingTable &rt = r.routing_table();
-        for (const RouteKey &key : rt.keys()) {
-            const auto *opts = rt.lookup(key.prev_node, key.flow);
-            for (const RouteResult &res : *opts) {
-                if (res.next_node == n)
-                    continue; // delivery to the CPU port: keep dynamic
-                fn(r, key, res);
-            }
-        }
+        r.freeze_routing_table();
+        r.routing_table().for_each(
+            [&](const RouteKey &key, const RoutingTable::Options &opts) {
+                for (const RouteResult &res : opts) {
+                    if (res.next_node == n)
+                        continue; // delivery to the CPU port: keep dynamic
+                    fn(r, key, res);
+                }
+            });
     }
 }
 

@@ -13,7 +13,9 @@
  *    the flow id (here: base flow id modulo the VC count).
  *
  * Builders scan the already-installed routing tables, so run them
- * after the routing builder.
+ * after the routing builder. They freeze each routing table (into its
+ * router's arena, on the calling thread) before reading it, so no
+ * route can be added afterwards.
  */
 #ifndef HORNET_NET_VCA_BUILDERS_H
 #define HORNET_NET_VCA_BUILDERS_H

@@ -164,9 +164,10 @@ class System
      * every tile's deliverable-flow set (the original flows of its
      * routing table's delivery entries) freezes into the dense
      * flow-stats index — all carved from the owning placement group's
-     * arena, on that group's construction thread. Called automatically
-     * before the first run once table building is complete;
-     * idempotent. Table add() panics afterwards.
+     * arena, on that group's construction thread. Routing tables a VCA
+     * builder already froze (on the builder's thread) stay as they
+     * are. Called automatically before the first run once table
+     * building is complete; idempotent. Table add() panics afterwards.
      */
     void freeze_tables();
 
@@ -174,7 +175,7 @@ class System
      * Adopt another System's frozen lookup tables instead of freezing
      * our own (the SystemBlueprint seam): every router's routing and
      * VCA tables share @p donor's read-only flat storage
-     * (net::RoutingTable::adopt), and every tile's flow-stats index
+     * (net::OptionTable::adopt), and every tile's flow-stats index
      * freezes from the precomputed @p deliverable flow set (one sorted
      * list per node, from net::deliverable_flows) — skipping both the
      * table-build walk and the freeze compilation, the dominant cost

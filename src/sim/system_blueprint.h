@@ -9,7 +9,7 @@
  * their frozen flat forms, and deriving each tile's deliverable-flow
  * set. SystemBlueprint factors that work out: it owns a frozen
  * *prototype* System whose read-only flat tables every instantiated
- * System adopts by pointer (net::RoutingTable::adopt), so per-run
+ * System adopts as views (net::OptionTable::adopt), so per-run
  * construction is reduced to the genuinely per-run half — tiles,
  * routers, buffers and frontends. Instantiated systems are
  * independent otherwise and may run concurrently on different

@@ -2,9 +2,10 @@
  * @file
  * common::Arena unit tests: alignment guarantees, chunk growth that
  * preserves prior allocations, destructor registration order,
- * reset/reuse retaining the reservation, oversize requests, and —
- * under AddressSanitizer only — the red-zone and poison-on-reset
- * checks that turn lifetime bugs into immediate aborts.
+ * reset/reuse retaining the reservation, oversize requests, byte
+ * accounting that keeps red zones apart, and — under AddressSanitizer
+ * only — the red-zone and poison-on-reset checks that turn lifetime
+ * bugs into immediate aborts.
  */
 #include <gtest/gtest.h>
 
@@ -147,6 +148,27 @@ TEST(Arena, MakeForwardsConstructorArguments)
 #define HORNET_TEST_ASAN 1
 #endif
 #endif
+
+TEST(Arena, BytesUsedExcludesRedZones)
+{
+    // bytes_used() is what callers asked for plus alignment padding in
+    // every build; ASan red zones go to their own counter, so within
+    // one chunk footprint bounds read the same under the sanitizer
+    // (after a chunk switch the padding may differ slightly).
+    Arena a;
+    for (int i = 0; i < 4; ++i)
+        a.allocate(24, 8);
+    a.allocate(8, 64); // cursor 96 -> 128: 32 bytes of padding
+    EXPECT_EQ(a.bytes_used(), 4 * 24 + 32 + 8u);
+#ifdef HORNET_TEST_ASAN
+    EXPECT_EQ(a.bytes_redzone(), 5 * 64u);
+#else
+    EXPECT_EQ(a.bytes_redzone(), 0u);
+#endif
+    a.reset();
+    EXPECT_EQ(a.bytes_used(), 0u);
+    EXPECT_EQ(a.bytes_redzone(), 0u);
+}
 
 #ifdef HORNET_TEST_ASAN
 // Red zones separate adjacent allocations: writing one byte past a

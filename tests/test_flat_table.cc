@@ -1,21 +1,25 @@
 /**
  * @file
- * FlatTable unit and differential tests (ISSUE 8): a randomized
- * differential check of the frozen open-addressing table against an
- * unordered_map reference, the build-contract panics, and the
- * freeze-order contract of the routing/VCA tables and the dense
- * flow-stats index.
+ * FlatTable and OptionTable tests: a randomized differential check of
+ * the record build (add, sort, merge, freeze) against a reference map
+ * that accumulates on add, a differential check of the probe loop
+ * over heavily clustered slots, the FlatTable build-contract panics,
+ * the freeze contract of the routing/VCA tables (unfrozen reads
+ * panic), and the dense flow-stats index.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/flat_table.h"
 #include "common/flow_stats_table.h"
+#include "common/rng.h"
 #include "net/routing_table.h"
 #include "net/vca.h"
 
@@ -58,12 +62,92 @@ struct Draw
 
 TEST(FlatTable, RandomizedDifferentialVsUnorderedMap)
 {
+    // ~10k add() records over ~2k keys: most keys get several records,
+    // many (key, option) pairs repeat (four next hops, two flow ids)
+    // and must merge, and weights are sums whose last bits depend on
+    // the order they are added in.
     Draw d(0xf1a7);
+    std::vector<std::pair<net::RouteKey, net::RouteResult>> records;
+    for (int i = 0; i < 10000; ++i) {
+        const net::RouteKey key{static_cast<NodeId>(d.below(5)),
+                                d.below(400) * 64};
+        const net::RouteResult opt{
+            static_cast<NodeId>(d.below(4)), key.flow + d.below(2),
+            0.1 * static_cast<double>(1 + d.below(30))};
+        records.push_back({key, opt});
+    }
+    for (std::size_t i = records.size() - 1; i > 0; --i) // shuffle
+        std::swap(records[i], records[d.below(i + 1)]);
+
+    // Reference: accumulate on add, the rule the table must reproduce.
+    std::unordered_map<net::RouteKey, std::vector<net::RouteResult>,
+                       net::RouteKeyHash>
+        ref;
+    net::RoutingTable t(0);
+    for (const auto &[key, opt] : records) {
+        t.add(key, opt);
+        auto &opts = ref[key];
+        bool merged = false;
+        for (auto &o : opts) {
+            if (o.next_node == opt.next_node &&
+                o.next_flow == opt.next_flow) {
+                o.weight += opt.weight;
+                merged = true;
+                break;
+            }
+        }
+        if (!merged)
+            opts.push_back(opt);
+    }
+    t.freeze();
+    ASSERT_EQ(t.size(), ref.size());
+
+    // Walk the keys in a fixed order so both sides consume one shared
+    // random stream identically.
+    const std::map<net::RouteKey, std::vector<net::RouteResult>> ordered(
+        ref.begin(), ref.end());
+    Rng frozen_rng(0x5eed), ref_rng(0x5eed);
+    std::size_t multi = 0;
+    for (const auto &[key, vals] : ordered) {
+        const auto *e = t.lookup(key);
+        ASSERT_NE(e, nullptr);
+        ASSERT_EQ(e->size(), vals.size());
+        double total = 0.0;
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+            // Bitwise, not approximate: same order, same sums.
+            EXPECT_EQ((*e)[i], vals[i]);
+            total = total + vals[i].weight;
+        }
+        EXPECT_EQ(e->total_weight, total);
+        multi += vals.size() > 1;
+
+        const net::RoutingTable::Options ref_view{
+            vals.data(), static_cast<std::uint32_t>(vals.size()), total};
+        for (int draw = 0; draw < 4; ++draw)
+            ASSERT_EQ(t.pick_from(*e, frozen_rng),
+                      t.pick_from(ref_view, ref_rng));
+    }
+    EXPECT_GT(multi, ref.size() / 2); // weighted picks really ran
+    EXPECT_LT(ref.size(), records.size() / 2); // keys really repeat
+
+    // Absent keys (flows that are 1 mod 64, never generated) probe
+    // through the occupied chains to nullptr.
+    for (int i = 0; i < 10000; ++i) {
+        const net::RouteKey absent{static_cast<NodeId>(d.below(5)),
+                                   d.below(400) * 64 + 1};
+        EXPECT_EQ(t.lookup(absent), nullptr);
+    }
+}
+
+TEST(FlatTable, ClusteredProbeDifferential)
+{
+    Draw d(0xc1a5);
     // Keys are multiples of 64 from a narrow range: libstdc++ hashes
     // integers by identity, so the shared low bits force heavy slot
     // clustering under the power-of-two mask — the probe loop gets a
     // real workout, not just direct hits.
     std::unordered_map<std::uint64_t, std::vector<Opt>> ref;
+    std::size_t values = 0;
     while (ref.size() < 10000) {
         const std::uint64_t key = d.below(1u << 20) * 64;
         auto &vals = ref[key];
@@ -73,10 +157,13 @@ TEST(FlatTable, RandomizedDifferentialVsUnorderedMap)
         for (std::size_t i = 0; i < n; ++i)
             vals.push_back({static_cast<std::uint32_t>(d()),
                             0.25 * static_cast<double>(1 + d.below(8))});
+        values += n;
     }
 
     common::FlatTable<std::uint64_t, Opt> t;
-    t.build(ref);
+    t.begin_build(ref.size(), values);
+    for (const auto &[key, vals] : ref)
+        t.add_entry(key, vals.data(), vals.size());
     EXPECT_TRUE(t.built());
     EXPECT_EQ(t.size(), ref.size());
     EXPECT_GE(t.capacity(), 2 * ref.size()); // <= 50% load
@@ -110,8 +197,7 @@ TEST(FlatTable, EmptyTableAndEmptyBuild)
     EXPECT_EQ(t.capacity(), 0u);
     EXPECT_EQ(t.lookup(0), nullptr); // never-built table: all absent
 
-    const std::unordered_map<std::uint64_t, std::vector<Opt>> empty;
-    t.build(empty);
+    t.begin_build(0, 0);
     EXPECT_TRUE(t.built());
     EXPECT_EQ(t.size(), 0u);
     EXPECT_GE(t.capacity(), 8u);
@@ -180,51 +266,66 @@ TEST(FlatTable, WeightlessValuesAndIteration)
 TEST(FlatTable, ArenaPlacement)
 {
     common::Arena arena;
-    std::unordered_map<std::uint64_t, std::vector<Opt>> src;
+    std::vector<Opt> vals;
     Draw d(0xa4e);
     for (std::uint64_t k = 0; k < 64; ++k)
-        src[k * 8].push_back({static_cast<std::uint32_t>(d()), 1.0});
+        vals.push_back({static_cast<std::uint32_t>(d()), 1.0});
 
     common::FlatTable<std::uint64_t, Opt> t;
-    t.build(src, &arena);
+    t.begin_build(vals.size(), vals.size(), &arena);
+    for (std::uint64_t k = 0; k < 64; ++k)
+        t.add_entry(k * 8, &vals[k], 1);
     EXPECT_GT(arena.bytes_used(), 0u); // slots + entries + slab carved
-    for (const auto &[key, vals] : src) {
-        const auto *e = t.lookup(key);
+    for (std::uint64_t k = 0; k < 64; ++k) {
+        const auto *e = t.lookup(k * 8);
         ASSERT_NE(e, nullptr);
-        EXPECT_EQ(e->front(), vals.front());
+        EXPECT_EQ(e->front(), vals[k]);
     }
 }
 
 TEST(FlatTable, RoutingTableFreezeContract)
 {
     net::RoutingTable t(3);
-    t.add(3, 7, {1, 7, 1.0});
-    t.add(3, 7, {2, 7, 3.0});
-    t.add(0, 9, {3, 9, 1.0});
+    t.add({3, 7}, {1, 7, 1.0});
+    t.add({3, 7}, {2, 7, 3.0});
+    t.add({0, 9}, {3, 9, 1.0});
 
+    // Unfrozen reads panic instead of answering "absent".
     EXPECT_FALSE(t.frozen());
-    const auto *pre = t.lookup(3, 7);
-    ASSERT_NE(pre, nullptr);
-    ASSERT_EQ(pre->size(), 2u);
-    const double pre_total = pre->total_weight;
-    EXPECT_EQ(pre_total, 4.0);
-    EXPECT_EQ(t.lookup(5, 5), nullptr);
+    Rng rng(1);
+    EXPECT_THROW(t.lookup({3, 7}), std::logic_error);
+    EXPECT_THROW(t.lookup({5, 5}), std::logic_error);
+    EXPECT_THROW(t.size(), std::logic_error);
+    EXPECT_THROW(t.pick({3, 7}, rng), std::logic_error);
+    EXPECT_THROW(t.for_each([](const net::RouteKey &,
+                               const net::RoutingTable::Options &) {}),
+                 std::logic_error);
+    EXPECT_THROW(net::deliverable_flows(t, 3), std::logic_error);
+    net::RoutingTable early(3);
+    EXPECT_THROW(early.adopt(t), std::logic_error); // unfrozen donor
 
     t.freeze();
     EXPECT_TRUE(t.frozen());
     t.freeze(); // idempotent
 
-    const auto *post = t.lookup(3, 7);
+    const auto *post = t.lookup({3, 7});
     ASSERT_NE(post, nullptr);
     ASSERT_EQ(post->size(), 2u);
-    EXPECT_EQ(post->total_weight, pre_total);
+    EXPECT_EQ(post->total_weight, 4.0);
     EXPECT_EQ((*post)[0].next_node, 1u);
     EXPECT_EQ((*post)[1].next_node, 2u);
-    EXPECT_EQ(t.lookup(5, 5), nullptr); // nullptr contract survives
+    EXPECT_EQ(t.lookup({5, 5}), nullptr); // nullptr contract survives
     EXPECT_EQ(t.size(), 2u);
 
     // The freeze-order contract: mutation after freeze is a bug.
-    EXPECT_THROW(t.add(3, 7, {1, 7, 1.0}), std::logic_error);
+    EXPECT_THROW(t.add({3, 7}, {1, 7, 1.0}), std::logic_error);
+
+    // An adopter reads the donor's storage; it cannot adopt twice.
+    net::RoutingTable shared(3);
+    shared.adopt(t);
+    EXPECT_TRUE(shared.frozen());
+    EXPECT_EQ(shared.lookup({3, 7}), post);
+    EXPECT_THROW(shared.adopt(t), std::logic_error);
 }
 
 TEST(FlatTable, VcaTableFreezeContract)
@@ -242,11 +343,8 @@ TEST(FlatTable, VcaTableFreezeContract)
     absent.flow = 6;
 
     EXPECT_FALSE(t.frozen());
-    const auto *pre = t.lookup(k);
-    ASSERT_NE(pre, nullptr);
-    ASSERT_EQ(pre->size(), 2u);
-    EXPECT_EQ(pre->total_weight, 3.0);
-    EXPECT_EQ(t.lookup(absent), nullptr);
+    EXPECT_THROW(t.lookup(k), std::logic_error);
+    EXPECT_THROW(t.lookup(absent), std::logic_error);
 
     t.freeze();
     EXPECT_TRUE(t.frozen());

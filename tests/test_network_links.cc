@@ -122,6 +122,8 @@ TEST(BidirLink, AsymmetricDemandGetsFullPool)
     auto topo = Topology::mesh2d(2, 1);
     Harness h(topo, cfg);
     routing::build_xy(*h.net, {{1, 0, 1, 1.0}});
+    for (NodeId n = 0; n < topo.num_nodes(); ++n)
+        h.net->router(n).freeze_tables(); // routers read frozen tables
 
     Router &a = h.net->router(0);
     // Inject a 4-flit packet by hand into A's injection VC.

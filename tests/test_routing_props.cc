@@ -50,6 +50,14 @@ struct NetHarness
         }
         net = std::make_unique<Network>(topo, cfg, rp, sp);
     }
+
+    /** Freeze every router's tables: reads need the frozen form. */
+    void
+    freeze()
+    {
+        for (NodeId i = 0; i < net->num_nodes(); ++i)
+            net->router(i).freeze_tables();
+    }
 };
 
 /** Tiny deterministic generator for the property sweep itself. */
@@ -97,7 +105,7 @@ walk_path(Network &net, NodeId src, FlowId flow, Rng &rng,
     FlowId f = flow;
     for (std::size_t i = 0; i < max_steps; ++i) {
         const RouteResult &r =
-            net.router(node).routing_table().pick(prev, f, rng);
+            net.router(node).routing_table().pick({prev, f}, rng);
         if (r.next_node == node)
             return path; // delivered to the CPU port
         prev = node;
@@ -165,6 +173,7 @@ sweep_minimal(Builder build, std::uint64_t salt)
         NetHarness net(topo);
         const auto flows = random_flows(d, w * h, 10);
         build(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 8; ++seed) {
                 SCOPED_TRACE("flow " + std::to_string(fl.id) +
@@ -202,6 +211,7 @@ TEST(RoutingProps, O1turnRealizesExactlyXyOrYxSubroutes)
         NetHarness net(topo);
         const auto flows = random_flows(d, w * h, 8);
         routing::build_o1turn(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows) {
             const auto xy = routing::xy_path(topo, fl.src, fl.dst);
             const auto yx = routing::yx_path(topo, fl.src, fl.dst);
@@ -240,6 +250,8 @@ sweep_deterministic(Builder build, std::uint64_t salt)
     const auto flows = random_flows(d, w * h, 12);
     build(*a.net, flows);
     build(*b.net, flows);
+    a.freeze();
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
@@ -319,6 +331,7 @@ TEST(RoutingProps, ShortestWalksMatchHopDistanceEverywhere)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 12);
         routing::build_shortest(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
@@ -343,6 +356,7 @@ TEST(RoutingProps, UpdownWalksAreMinimal)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 14);
         routing::build_updown(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 6; ++seed) {
                 Rng rng(seed);
@@ -364,6 +378,8 @@ TEST(RoutingProps, UpdownConstructionIsDeterministic)
     const auto flows = random_host_flows(d, topo.hosts(), 16);
     routing::build_updown(*a.net, flows);
     routing::build_updown(*b.net, flows);
+    a.freeze();
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             Rng ra(seed), rb(seed);
@@ -386,6 +402,7 @@ TEST(RoutingProps, DragonflyMinimalWalksAreDirect)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 14);
         routing::build_dragonfly_minimal(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
@@ -412,6 +429,8 @@ TEST(RoutingProps, DragonflyValiantWalksDeliver)
     const auto flows = random_host_flows(d, topo.hosts(), 14);
     routing::build_dragonfly_valiant(*a.net, flows);
     routing::build_dragonfly_valiant(*b.net, flows);
+    a.freeze();
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
@@ -448,6 +467,7 @@ TEST(RoutingProps, SwitchNodesNeverTerminateFlows)
         NetHarness net(c.topo);
         const auto flows = random_host_flows(d, c.topo.hosts(), 12);
         c.build(*net.net, flows);
+        net.freeze();
         for (NodeId n = 0; n < c.topo.num_nodes(); ++n) {
             if (!c.topo.is_switch(n))
                 continue;

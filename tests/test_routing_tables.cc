@@ -38,6 +38,14 @@ struct NetHarness
         }
         net = std::make_unique<Network>(topo, cfg, rp, sp);
     }
+
+    /** Freeze every router's tables: reads need the frozen form. */
+    void
+    freeze()
+    {
+        for (NodeId i = 0; i < net->num_nodes(); ++i)
+            net->router(i).freeze_tables();
+    }
 };
 
 /**
@@ -53,7 +61,7 @@ table_walk(Network &net, NodeId src, FlowId flow, Rng &rng,
     FlowId f = flow;
     for (std::size_t i = 0; i < max_steps; ++i) {
         const RouteResult &r =
-            net.router(node).routing_table().pick(prev, f, rng);
+            net.router(node).routing_table().pick({prev, f}, rng);
         if (r.next_node == node)
             return node; // delivered to the CPU port
         prev = node;
@@ -70,15 +78,17 @@ table_walk(Network &net, NodeId src, FlowId flow, Rng &rng,
 TEST(RoutingTable, LookupMissingReturnsNull)
 {
     RoutingTable t(3);
-    EXPECT_EQ(t.lookup(0, 42), nullptr);
+    t.freeze();
+    EXPECT_EQ(t.lookup({0, 42}), nullptr);
 }
 
 TEST(RoutingTable, AddAccumulatesDuplicateOptions)
 {
     RoutingTable t(0);
-    t.add(0, 7, RouteResult{1, 7, 1.0});
-    t.add(0, 7, RouteResult{1, 7, 2.0});
-    const auto *opts = t.lookup(0, 7);
+    t.add({0, 7}, RouteResult{1, 7, 1.0});
+    t.add({0, 7}, RouteResult{1, 7, 2.0});
+    t.freeze();
+    const auto *opts = t.lookup({0, 7});
     ASSERT_NE(opts, nullptr);
     ASSERT_EQ(opts->size(), 1u);
     EXPECT_DOUBLE_EQ(opts->front().weight, 3.0);
@@ -87,26 +97,28 @@ TEST(RoutingTable, AddAccumulatesDuplicateOptions)
 TEST(RoutingTable, NonPositiveWeightRejected)
 {
     RoutingTable t(0);
-    EXPECT_THROW(t.add(0, 1, RouteResult{1, 1, 0.0}), std::runtime_error);
+    EXPECT_THROW(t.add({0, 1}, RouteResult{1, 1, 0.0}), std::runtime_error);
 }
 
 TEST(RoutingTable, PickMissingPanics)
 {
     RoutingTable t(0);
+    t.freeze();
     Rng rng(1);
-    EXPECT_THROW(t.pick(0, 1, rng), std::logic_error);
+    EXPECT_THROW(t.pick({0, 1}, rng), std::logic_error);
 }
 
 TEST(RoutingTable, WeightedPickRespectsWeights)
 {
     RoutingTable t(0);
-    t.add(0, 1, RouteResult{1, 1, 1.0});
-    t.add(0, 1, RouteResult{2, 1, 3.0});
+    t.add({0, 1}, RouteResult{1, 1, 1.0});
+    t.add({0, 1}, RouteResult{2, 1, 3.0});
+    t.freeze();
     Rng rng(5);
     int to2 = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        to2 += t.pick(0, 1, rng).next_node == 2;
+        to2 += t.pick({0, 1}, rng).next_node == 2;
     EXPECT_NEAR(static_cast<double>(to2) / n, 0.75, 0.02);
 }
 
@@ -159,11 +171,12 @@ TEST(BuildXy, InstallsDeterministicRoute)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_xy(*h.net, flows);
+    h.freeze();
 
     Rng rng(9);
     // Every step has exactly one option; the walk ends at node 2.
     EXPECT_EQ(table_walk(*h.net, 6, 100, rng), 2u);
-    const auto *opts = h.net->router(7).routing_table().lookup(6, 100);
+    const auto *opts = h.net->router(7).routing_table().lookup({6, 100});
     ASSERT_NE(opts, nullptr);
     ASSERT_EQ(opts->size(), 1u);
     EXPECT_EQ(opts->front().next_node, 8u);
@@ -174,6 +187,7 @@ TEST(BuildXy, SelfFlowDeliversLocally)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{5, 4, 4, 1.0}};
     routing::build_xy(*h.net, flows);
+    h.freeze();
     Rng rng(2);
     EXPECT_EQ(table_walk(*h.net, 4, 5, rng), 4u);
 }
@@ -186,6 +200,7 @@ TEST(BuildXy, AllPairsReachDestination)
         for (NodeId d = 0; d < 16; ++d)
             flows.push_back({static_cast<FlowId>(s * 16 + d), s, d, 1.0});
     routing::build_xy(*h.net, flows);
+    h.freeze();
     Rng rng(3);
     for (const auto &f : flows)
         ASSERT_EQ(table_walk(*h.net, f.src, f.id, rng), f.dst)
@@ -201,8 +216,9 @@ TEST(BuildO1turn, SourceSplitsEvenlyBetweenPhases)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
 
-    const auto *opts = h.net->router(6).routing_table().lookup(6, 100);
+    const auto *opts = h.net->router(6).routing_table().lookup({6, 100});
     ASSERT_NE(opts, nullptr);
     ASSERT_EQ(opts->size(), 2u);
     double w1 = 0, w2 = 0;
@@ -223,6 +239,7 @@ TEST(BuildO1turn, WalksDeliverOnBothSubroutes)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{7, 0, 15, 1.0}};
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
     Rng rng(11);
     for (int i = 0; i < 200; ++i)
         ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 15u);
@@ -233,6 +250,7 @@ TEST(BuildO1turn, DegenerateRowStillDelivers)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{7, 0, 3, 1.0}}; // same row
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
     Rng rng(13);
     for (int i = 0; i < 50; ++i)
         ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 3u);
@@ -253,10 +271,11 @@ TEST(BuildRomm, PaperNode4Example)
     const FlowId f = 100;
     std::vector<FlowSpec> flows{{f, 6, 2, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     const FlowId ph1 = flowid::with_phase(f, 1);
     const FlowId ph2 = flowid::with_phase(f, 2);
 
-    const auto *from7 = h.net->router(4).routing_table().lookup(7, ph1);
+    const auto *from7 = h.net->router(4).routing_table().lookup({7, ph1});
     ASSERT_NE(from7, nullptr);
     ASSERT_EQ(from7->size(), 2u);
     double w_to1 = -1, w_to5 = -1;
@@ -273,7 +292,7 @@ TEST(BuildRomm, PaperNode4Example)
     }
     EXPECT_DOUBLE_EQ(w_to1, w_to5); // equal probability, as in the paper
 
-    const auto *from3 = h.net->router(4).routing_table().lookup(3, ph2);
+    const auto *from3 = h.net->router(4).routing_table().lookup({3, ph2});
     ASSERT_NE(from3, nullptr);
     ASSERT_EQ(from3->size(), 1u);
     EXPECT_EQ(from3->front().next_node, 5u);
@@ -285,6 +304,7 @@ TEST(BuildRomm, WalksAlwaysDeliver)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{3, 1, 14, 1.0}, {4, 15, 0, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     Rng rng(17);
     for (int i = 0; i < 300; ++i) {
         ASSERT_EQ(table_walk(*h.net, 1, 3, rng), 14u);
@@ -300,6 +320,7 @@ TEST(BuildRomm, PathsStayInMinimumRectangle)
     const NodeId src = topo.node_at(1, 1), dst = topo.node_at(3, 2);
     std::vector<FlowSpec> flows{{f, src, dst, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     Rng rng(19);
     for (int trial = 0; trial < 200; ++trial) {
         NodeId node = src, prev = src;
@@ -310,7 +331,7 @@ TEST(BuildRomm, PathsStayInMinimumRectangle)
             ASSERT_GE(topo.y_of(node), 1u);
             ASSERT_LE(topo.y_of(node), 2u);
             const auto &r =
-                h.net->router(node).routing_table().pick(prev, fl, rng);
+                h.net->router(node).routing_table().pick({prev, fl}, rng);
             if (r.next_node == node)
                 break;
             prev = node;
@@ -328,6 +349,7 @@ TEST(BuildValiant, WalksDeliverAndLeaveRectangle)
     const FlowId f = 9;
     std::vector<FlowSpec> flows{{f, 5, 6, 1.0}}; // adjacent pair
     routing::build_valiant(*h.net, flows);
+    h.freeze();
     Rng rng(23);
     bool left_rect = false;
     for (int i = 0; i < 400; ++i) {
@@ -335,7 +357,7 @@ TEST(BuildValiant, WalksDeliverAndLeaveRectangle)
         FlowId fl = f;
         for (int step = 0; step < 200; ++step) {
             const auto &r =
-                h.net->router(node).routing_table().pick(prev, fl, rng);
+                h.net->router(node).routing_table().pick({prev, fl}, rng);
             if (r.next_node == node)
                 break;
             prev = node;
@@ -362,8 +384,9 @@ TEST(BuildProm, WeightsCountRemainingPaths)
     const FlowId f = 4;
     std::vector<FlowSpec> flows{{f, 0, 8, 1.0}}; // (0,0) -> (2,2)
     routing::build_prom(*h.net, flows);
+    h.freeze();
     // At the source: 6 minimal paths total, 3 through each direction.
-    const auto *opts = h.net->router(0).routing_table().lookup(0, f);
+    const auto *opts = h.net->router(0).routing_table().lookup({0, f});
     ASSERT_NE(opts, nullptr);
     ASSERT_EQ(opts->size(), 2u);
     EXPECT_DOUBLE_EQ((*opts)[0].weight, 3.0);
@@ -378,6 +401,7 @@ TEST(BuildProm, WalksDeliverMinimally)
     const NodeId src = topo.node_at(4, 3), dst = topo.node_at(1, 0);
     std::vector<FlowSpec> flows{{f, src, dst, 1.0}};
     routing::build_prom(*h.net, flows);
+    h.freeze();
     Rng rng(29);
     const std::uint32_t min_hops = topo.hop_distance(src, dst);
     for (int i = 0; i < 200; ++i) {
@@ -386,7 +410,7 @@ TEST(BuildProm, WalksDeliverMinimally)
         std::uint32_t hops = 0;
         while (true) {
             const auto &r =
-                h.net->router(node).routing_table().pick(prev, fl, rng);
+                h.net->router(node).routing_table().pick({prev, fl}, rng);
             if (r.next_node == node)
                 break;
             prev = node;
@@ -415,6 +439,7 @@ TEST(BuildShortest, WorksOnRingAndTorus)
                                  topo.num_nodes(),
                              1.0});
         routing::build_shortest(*h.net, flows);
+        h.freeze();
         Rng rng(31);
         for (const auto &fl : flows)
             ASSERT_EQ(table_walk(*h.net, fl.src, fl.id, rng), fl.dst);
@@ -428,6 +453,7 @@ TEST(BuildShortest, WorksOnMultilayerMesh)
     std::vector<FlowSpec> flows{{1, topo.node_at(2, 2, 0),
                                  topo.node_at(2, 2, 1), 1.0}};
     routing::build_shortest(*h.net, flows);
+    h.freeze();
     Rng rng(37);
     EXPECT_EQ(table_walk(*h.net, flows[0].src, 1, rng), flows[0].dst);
 }
@@ -442,6 +468,7 @@ TEST(BuildStaticGreedy, SpreadsLoadAcrossPaths)
     for (FlowId i = 0; i < 6; ++i)
         flows.push_back({i, 0, 15, 1.0});
     routing::build_static_greedy(*h.net, flows, 2.0);
+    h.freeze();
     Rng rng(41);
     // All delivered...
     for (const auto &fl : flows)
@@ -449,7 +476,8 @@ TEST(BuildStaticGreedy, SpreadsLoadAcrossPaths)
     // ...and at least two distinct first hops are in use.
     std::set<NodeId> first_hops;
     for (const auto &fl : flows) {
-        const auto *opts = h.net->router(0).routing_table().lookup(0, fl.id);
+        const auto *opts =
+            h.net->router(0).routing_table().lookup({0, fl.id});
         ASSERT_NE(opts, nullptr);
         first_hops.insert(opts->front().next_node);
     }
@@ -468,6 +496,7 @@ TEST(VcaBuilders, PhaseSplitSeparatesO1turnSubroutes)
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
     vca::build_phase_split(*h.net);
+    h.freeze();
 
     const FlowId ph1 = flowid::with_phase(FlowId{100}, 1);
     const FlowId ph2 = flowid::with_phase(FlowId{100}, 2);
@@ -504,6 +533,7 @@ TEST(VcaBuilders, StaticSetPinsFlowToOneVc)
     std::vector<FlowSpec> flows{{101, 6, 2, 1.0}};
     routing::build_xy(*h.net, flows);
     vca::build_static_set(*h.net);
+    h.freeze();
     const auto *v = h.net->router(6).vca_table().lookup(
         VcaKey{6, 101, 7, 101});
     ASSERT_NE(v, nullptr);
@@ -519,6 +549,7 @@ TEST(VcaBuilders, DeliveryHopsStayDynamic)
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
     vca::build_phase_split(*h.net);
+    h.freeze();
     // The delivery entry (next == self) must not be constrained.
     const FlowId ph1 = flowid::with_phase(FlowId{100}, 1);
     EXPECT_EQ(h.net->router(2).vca_table().lookup(VcaKey{5, ph1, 2, 100}),
