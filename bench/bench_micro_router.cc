@@ -25,7 +25,7 @@ BM_VcBufferPushPop(benchmark::State &state)
     for (auto _ : state) {
         f.arrival_cycle = n;
         buf.push(f);
-        benchmark::DoNotOptimize(buf.front_visible(n));
+        benchmark::DoNotOptimize(buf.front_ready(n));
         buf.pop();
         buf.commit_negedge();
         ++n;

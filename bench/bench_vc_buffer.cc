@@ -50,7 +50,7 @@ single_thread_mflits(std::uint64_t flits, bool local)
         while (sent < flits) {
             while (b.free_slots() > 0 && sent < flits)
                 b.push(make_flit(1, 0, static_cast<std::uint32_t>(sent++)));
-            while (b.front_visible(kAlways).has_value())
+            while (b.front_ready(kAlways) != nullptr)
                 b.pop();
             b.commit_negedge();
         }
@@ -70,7 +70,7 @@ single_thread_batched_mflits(std::uint64_t flits)
             while (b.free_slots() > 0 && sent < flits)
                 b.push(make_flit(1, 0, static_cast<std::uint32_t>(sent++)));
             b.flush_staged();
-            while (b.front_visible(kAlways).has_value())
+            while (b.front_ready(kAlways) != nullptr)
                 b.pop();
             b.commit_negedge();
         }
@@ -99,7 +99,7 @@ cross_thread_mflits(std::uint64_t flits, bool batched)
         });
         std::uint64_t got = 0;
         while (got < flits) {
-            if (b.front_visible(kAlways).has_value()) {
+            if (b.front_ready(kAlways) != nullptr) {
                 b.pop();
                 ++got;
                 if ((got & 7) == 0)

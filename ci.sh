@@ -13,9 +13,11 @@
 #   ./ci.sh --e2e      # end-to-end benchmark checks: digests,
 #                      # conservation and determinism on short runs
 #   ./ci.sh --coverage # gcov line-coverage run with a summary artifact
-#   ./ci.sh --profile  # frame-pointer build + gprofng experiment over
-#                      # the low-rate event-fine workload; summary at
-#                      # build-prof/profile-summary.txt
+#   ./ci.sh --profile  # frame-pointer builds + gprofng experiments
+#                      # over the low-rate event-fine workload and
+#                      # the saturated e2e workload; summaries at
+#                      # build-prof/profile-summary.txt and
+#                      # build-prof/profile-e2e-summary.txt
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -180,7 +182,23 @@ if [[ "${1:-}" == "--profile" ]]; then
         ./build-prof/bench_event_driven --quick > /dev/null
     gprofng display text -functions build-prof/profile.er |
         head -40 | tee build-prof/profile-summary.txt
-    echo "PROFILE OK (experiment: build-prof/profile.er)"
+    # Router-tick layer: bench/e2e's mesh16-saturated keeps every
+    # router busy every cycle, so router stages, VC-buffer push/pop
+    # and the push-side wake chain dominate. Its own frame-pointer
+    # build of the e2e package (Release, like the benchmark itself),
+    # sampled every millisecond.
+    cmake -S bench/e2e -B build-prof/e2e \
+        -DCMAKE_CXX_FLAGS="-fno-omit-frame-pointer"
+    cmake --build build-prof/e2e -j "$JOBS" --target hornet_e2e
+    rm -rf build-prof/profile-e2e.er
+    echo "== gprofng collect (hornet_e2e --workload=mesh16-saturated) =="
+    gprofng collect app -p 1 -o build-prof/profile-e2e.er \
+        ./build-prof/e2e/hornet_e2e --workload=mesh16-saturated \
+        --seconds=6 > /dev/null
+    gprofng display text -functions build-prof/profile-e2e.er |
+        head -40 | tee build-prof/profile-e2e-summary.txt
+    echo "PROFILE OK (experiments: build-prof/profile.er," \
+         "build-prof/profile-e2e.er)"
     exit 0
 fi
 

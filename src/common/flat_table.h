@@ -223,14 +223,6 @@ class FlatTable
         }
     }
 
-    /** Position of @p e in entry-insertion order (e must come from
-     *  this table's lookup()). */
-    std::size_t
-    entry_index(const Entry *e) const
-    {
-        return static_cast<std::size_t>(e - entries_);
-    }
-
     /** Apply @p fn(key, entry) to every present key, in slot order. */
     template <typename Fn>
     void

@@ -41,6 +41,15 @@ class Wakeable
      * thread; idempotent; never later than the work it announces.
      */
     virtual void notify_activity(Cycle at) = 0;
+
+    /**
+     * Same-thread form of notify_activity(): the caller runs on the
+     * consumer's own thread, as a push into a buffer in local mode
+     * does (net::VcBuffer::set_local). Implementations may then use
+     * plain loads and stores where notify_activity() needs atomic
+     * read-modify-writes. The default forwards to notify_activity().
+     */
+    virtual void notify_local(Cycle at) { notify_activity(at); }
 };
 
 } // namespace hornet

@@ -15,9 +15,10 @@ BidirLink::BidirLink(Router *a, PortId port_a, Router *b, PortId port_b,
     if (total_ == 0)
         fatal("bidirectional link needs nonzero bandwidth");
     // The arbiter reads only phase-stable posedge snapshots of the two
-    // endpoints (see arbitrate); ask both routers to publish them.
-    a_->enable_free_space_snapshot(port_a_);
-    b_->enable_free_space_snapshot(port_b_);
+    // endpoints (see arbitrate) and sets their bandwidth; ask both
+    // routers to publish and apply them on these ports.
+    a_->attach_link_arbiter(port_a_);
+    b_->attach_link_arbiter(port_b_);
 }
 
 NodeId

@@ -74,6 +74,7 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
         cpu_ep->downstream.push_back(b);
     cpu_ep->vc_state.resize(cfg_.cpu_vcs);
     egress_.push_back(cpu_ep);
+    index_out_vcs();
 
     // One occupancy-mask word per ingress port and one wake record per
     // ingress (port, vc), each record installed as its buffer's wake
@@ -123,24 +124,15 @@ Router::ingress_masks_cover_buffers() const
     return true;
 }
 
-void
-Router::note_ingress_push(PortId port, VcId vc, Cycle at)
-{
-    ingress_mask_[port].fetch_or(std::uint64_t{1} << vc,
-                                 std::memory_order_acq_rel);
-    Cycle cur = pending_wake_.load(std::memory_order_relaxed);
-    while (at < cur && !pending_wake_.compare_exchange_weak(
-                           cur, at, std::memory_order_release,
-                           std::memory_order_relaxed)) {
-    }
-}
-
 Cycle
 Router::take_pending_wake()
 {
-    if (pending_wake_.load(std::memory_order_acquire) == kNoEvent)
-        return kNoEvent;
-    return pending_wake_.exchange(kNoEvent, std::memory_order_acq_rel);
+    Cycle p = local_pending_wake_;
+    local_pending_wake_ = kNoEvent;
+    if (pending_wake_.load(std::memory_order_acquire) != kNoEvent)
+        p = std::min(p, pending_wake_.exchange(kNoEvent,
+                                               std::memory_order_acq_rel));
+    return p;
 }
 
 bool
@@ -168,6 +160,18 @@ Router::connect_egress(PortId port, NodeId next_node,
     ep.downstream = std::move(downstream);
     ep.vc_state.assign(ep.downstream.size(), EgressVcState{});
     ep.link_latency = link_latency;
+    index_out_vcs();
+}
+
+void
+Router::index_out_vcs()
+{
+    out_vc_base_.resize(egress_.size());
+    total_out_vcs_ = 0;
+    for (std::size_t e = 0; e < egress_.size(); ++e) {
+        out_vc_base_[e] = total_out_vcs_;
+        total_out_vcs_ += egress_[e]->vc_state.size();
+    }
 }
 
 VcBuffer &
@@ -211,7 +215,7 @@ Router::reset_run_state()
         ep->bandwidth_next.store(cfg_.link_bandwidth,
                                  std::memory_order_relaxed);
         ep->demand.store(0, std::memory_order_relaxed);
-        if (ep->publish_free_space) {
+        if (ep->arbitrated) {
             std::uint32_t total = 0;
             for (const auto *b : ep->downstream)
                 total += b->free_slots();
@@ -220,6 +224,7 @@ Router::reset_run_state()
     }
     pending_releases_.clear();
     pending_wake_.store(kNoEvent, std::memory_order_relaxed);
+    local_pending_wake_ = kNoEvent;
 }
 
 std::uint32_t
@@ -419,10 +424,13 @@ Router::try_vc_allocate(IngressPort &ip, VcState &st, const Flit &f,
 void
 Router::posedge(Cycle now)
 {
-    // Refresh per-port bandwidth (bidirectional links set it at the
-    // previous negedge, paper II-A4).
-    for (auto &ep : egress_)
-        ep->bandwidth = ep->bandwidth_next.load(std::memory_order_acquire);
+    // Refresh the bandwidth of arbitrated ports (their bidirectional
+    // links set it at the previous negedge, paper II-A4); every other
+    // port keeps its configured bandwidth.
+    for (auto *ep : egress_)
+        if (ep->arbitrated)
+            ep->bandwidth =
+                ep->bandwidth_next.load(std::memory_order_acquire);
 
     // ------------------------------------------------------------------
     // Stage A: route computation + VC allocation for packets whose head
@@ -442,23 +450,22 @@ Router::posedge(Cycle now)
         while (m != 0) {
             const VcId v = static_cast<VcId>(std::countr_zero(m));
             m &= m - 1;
-            if (ip.vcs[v]->size_raw() == 0) {
-                settle_ingress_bit(p, v); // stale bit: drained
-                continue;
-            }
-            if (ip.vcs[v]->front_visible(now).has_value())
+            VcState &st = ip.state[v];
+            if (st.front == nullptr)
+                st.front = ip.vcs[v]->front_ready(now);
+            if (st.front != nullptr)
                 cands.emplace_back(p, v);
+            else if (ip.vcs[v]->empty_raw())
+                settle_ingress_bit(p, v); // stale bit: drained
         }
     }
     // Nothing routable and nothing to release: the tick reduces to the
-    // demand publish below. (Stage A/B over an empty candidate set
+    // arbiter publish below. (Stage A/B over an empty candidate set
     // touch no state and draw nothing from the PRNG, so this early
     // exit is bitwise neutral.)
     if (cands.empty() && pending_releases_.empty()) {
-        for (PortId e = 0; e < egress_.size(); ++e) {
-            egress_[e]->demand.store(0, std::memory_order_release);
-            publish_free_space_snapshot(e);
-        }
+        for (PortId e = 0; e < egress_.size(); ++e)
+            publish_arbiter_inputs(e, 0);
         return;
     }
     rng_->shuffle(cands);
@@ -466,8 +473,7 @@ Router::posedge(Cycle now)
     for (auto [p, v] : cands) {
         IngressPort &ip = ingress_[p];
         VcState &st = ip.state[v];
-        auto front = ip.vcs[v]->front_visible(now);
-        const Flit &f = *front;
+        const Flit &f = *st.front;
         if (!st.route_valid) {
             if (!f.head)
                 panic(strcat("router ", id_,
@@ -507,16 +513,10 @@ Router::posedge(Cycle now)
     for (std::size_t e = 0; e < egress_.size(); ++e)
         eg_bw_left[e] = egress_[e]->bandwidth;
     // Downstream-VC single-write flags, flattened over all egress
-    // ports (scratch_vc_base_[e] + vc indexes port e's VC vc).
-    auto &vc_base = scratch_vc_base_;
-    vc_base.resize(egress_.size());
-    std::size_t total_out_vcs = 0;
-    for (std::size_t e = 0; e < egress_.size(); ++e) {
-        vc_base[e] = total_out_vcs;
-        total_out_vcs += egress_[e]->vc_state.size();
-    }
+    // ports (out_vc_base_[e] + vc indexes port e's VC vc).
+    const auto &vc_base = out_vc_base_;
     auto &out_vc_used = scratch_out_vc_used_;
-    out_vc_used.assign(total_out_vcs, 0);
+    out_vc_used.assign(total_out_vcs_, 0);
     std::uint32_t xbar_left =
         cfg_.xbar_bandwidth ? cfg_.xbar_bandwidth : ~0u;
 
@@ -538,6 +538,7 @@ Router::posedge(Cycle now)
 
         // ST: move the flit across the crossbar and onto the link.
         Flit f = ip.vcs[v]->pop();
+        st.front = nullptr;
         popped_dirty_.emplace_back(p, v);
         in_port_used[p] = 1;
         --eg_bw_left[st.out_port];
@@ -591,13 +592,10 @@ Router::posedge(Cycle now)
         }
     }
 
-    // Publish per-egress demand — and, on arbiter-facing ports, the
-    // phase-stable free-space snapshot — for the bidirectional-link
-    // arbiters.
-    for (std::size_t e = 0; e < egress_.size(); ++e) {
-        egress_[e]->demand.store(demand[e], std::memory_order_release);
-        publish_free_space_snapshot(static_cast<PortId>(e));
-    }
+    // Publish demand and the phase-stable free-space snapshot for the
+    // bidirectional-link arbiters (arbitrated ports only).
+    for (PortId e = 0; e < egress_.size(); ++e)
+        publish_arbiter_inputs(e, demand[e]);
 }
 
 void

@@ -70,10 +70,10 @@ struct RouterConfig
 /**
  * One router node; a Clocked component of its tile. Not thread-safe
  * except through the lock-free VC-buffer producer/consumer interfaces
- * and the atomic egress views (egress_demand / egress_free_space /
- * set_egress_bandwidth_next, polled by link arbiters possibly on
- * another thread); posedge()/negedge() must be called by the owning
- * tile's thread only.
+ * and the atomic egress views of arbitrated ports (egress_demand /
+ * egress_free_space_snapshot / set_egress_bandwidth_next, used by link
+ * arbiters possibly on another thread); posedge()/negedge() must be
+ * called by the owning tile's thread only.
  */
 class Router : public sim::Clocked
 {
@@ -259,19 +259,11 @@ class Router : public sim::Clocked
     bool ingress_masks_cover_buffers() const;
 
     /**
-     * Producer-side push note (any thread): a flit with arrival cycle
-     * @p at was published into ingress buffer (@p port, @p vc). Sets
-     * the (port, vc) occupancy bit and folds @p at into the pending
-     * wake cycle; called by the ingress wake records on the pushing
-     * thread.
-     */
-    void note_ingress_push(PortId port, VcId vc, Cycle at);
-
-    /**
-     * Consume the earliest pending ingress arrival posted by
-     * note_ingress_push() since the last take (kNoEvent when none).
-     * Owner thread only; the tile's fine scheduler calls it at each
-     * cycle begin to decide when a sleeping router must wake.
+     * Consume the earliest pending ingress arrival posted by pushes
+     * since the last take (kNoEvent when none): the minimum of the
+     * cross-thread and the same-thread pending cycles. Owner thread
+     * only; the tile's fine scheduler calls it at each cycle begin to
+     * decide when a sleeping router must wake.
      */
     Cycle take_pending_wake();
 
@@ -284,7 +276,8 @@ class Router : public sim::Clocked
     // Bidirectional-link support (paper II-A4).
     // ------------------------------------------------------------------
 
-    /** Flits ready to leave through @p port (published at posedge). */
+    /** Flits ready to leave through @p port, published at posedge on
+     *  arbitrated ports only (attach_link_arbiter); 0 on the others. */
     std::uint32_t
     egress_demand(PortId port) const
     {
@@ -311,9 +304,8 @@ class Router : public sim::Clocked
      * previous negedge — both fixed by the inter-phase barrier under
      * lockstep windows, which is what makes bidirectional-link
      * arbitration reproducible across shard counts. Only maintained on
-     * ports marked by enable_free_space_snapshot() (zero cost
-     * elsewhere); like the demand it rides with, it is a bandwidth-
-     * split input, never a push credit.
+     * arbitrated ports (attach_link_arbiter); like the demand it rides
+     * with, it is a bandwidth-split input, never a push credit.
      */
     std::uint32_t
     egress_free_space_snapshot(PortId port) const
@@ -322,20 +314,25 @@ class Router : public sim::Clocked
     }
 
     /**
-     * Ask posedge to publish the free-space snapshot of @p port.
-     * Called at wiring time by BidirLink for its two endpoint ports;
-     * ports without an arbiter skip the fold entirely.
+     * Mark @p port as arbitrated by a link arbiter: from now on each
+     * posedge refreshes its bandwidth from set_egress_bandwidth_next()
+     * and publishes its demand and free-space snapshot. Called at
+     * wiring time by BidirLink for its two endpoint ports (writes only
+     * that port's state, so arbiters may be attached to one router from
+     * several construction threads). Posedge never touches the other
+     * ports' arbiter-facing atomics (a cache line per port): their
+     * bandwidth stays the configured one and their demand reads 0.
      */
     void
-    enable_free_space_snapshot(PortId port)
+    attach_link_arbiter(PortId port)
     {
-        egress_.at(port)->publish_free_space = true;
+        egress_.at(port)->arbitrated = true;
         egress_[port]->free_space.store(egress_free_space(port),
                                         std::memory_order_release);
     }
 
-    /** Set next-cycle bandwidth of @p port (called by a link arbiter
-     *  during the negedge phase). */
+    /** Set next-cycle bandwidth of arbitrated @p port (called by its
+     *  link arbiter during the negedge phase). */
     void
     set_egress_bandwidth_next(PortId port, std::uint32_t bw)
     {
@@ -353,6 +350,11 @@ class Router : public sim::Clocked
     /** Per-ingress-VC packet progress (route + allocated next-hop VC). */
     struct VcState
     {
+        /// The buffer's front flit once stage A has seen it visible
+        /// (VcBuffer::front_ready): it stays put, and visible, until
+        /// stage B pops it, so a VC blocked for many cycles is not
+        /// re-read from its buffer. Cleared at every pop.
+        const Flit *front = nullptr;
         bool route_valid = false;
         PortId out_port = kInvalidPort;
         NodeId next_node = kInvalidNode;
@@ -381,6 +383,9 @@ class Router : public sim::Clocked
     {
         NodeId next_node = kInvalidNode;
         bool is_cpu = false;
+        /// A link arbiter reads and sets this port's seam below (set
+        /// by attach_link_arbiter); posedge touches the seam only then.
+        bool arbitrated = false;
         Cycle link_latency = 1;
         std::vector<VcBuffer *> downstream;
         std::vector<EgressVcState> vc_state;
@@ -395,12 +400,8 @@ class Router : public sim::Clocked
             std::atomic<std::uint32_t> bandwidth_next{1};
         std::atomic<std::uint32_t> demand{0};
         /// Phase-stable downstream free space, published at posedge
-        /// alongside demand (see egress_free_space_snapshot). Only
-        /// folded when publish_free_space is set.
+        /// alongside demand (see egress_free_space_snapshot).
         std::atomic<std::uint32_t> free_space{0};
-        /// Posedge publishes the free-space snapshot of this port
-        /// (set by enable_free_space_snapshot for arbiter endpoints).
-        bool publish_free_space = false;
     };
 
     /**
@@ -409,11 +410,12 @@ class Router : public sim::Clocked
      * the pending wake cycle on the router, then forwards the wake
      * unchanged to `next` (the owning tile for network-port buffers,
      * see forward_ingress_wakes), so tile-level scheduling is
-     * untouched.
+     * untouched. A push into a local buffer arrives as notify_local()
+     * and stays on the plain-store path all the way down.
      * One record per ingress (port, vc), installed in the constructor
      * and never moved (buffers point at them).
      */
-    struct IngressWake : Wakeable
+    struct IngressWake final : Wakeable
     {
         Router *router = nullptr;   ///< record owner
         PortId port = kInvalidPort; ///< ingress port of the buffer
@@ -421,14 +423,57 @@ class Router : public sim::Clocked
         Wakeable *next = nullptr;   ///< forwarded-to target (may be null)
 
         /** Mark occupancy + pending wake, then forward to `next`. */
+        void notify_activity(Cycle at) override { notify<false>(at); }
+
+        /** Same, from the router's own thread (local buffer). */
+        void notify_local(Cycle at) override { notify<true>(at); }
+
+        /// Shared body; @p kLocal selects the plain-store path.
+        template <bool kLocal>
         void
-        notify_activity(Cycle at) override
+        notify(Cycle at)
         {
-            router->note_ingress_push(port, vc, at);
-            if (next != nullptr)
+            router->note_ingress_push<kLocal>(port, vc, at);
+            if (next == nullptr)
+                return;
+            if constexpr (kLocal)
+                next->notify_local(at);
+            else
                 next->notify_activity(at);
         }
     };
+
+    /**
+     * Producer-side push note: a flit with arrival cycle @p at was
+     * published into ingress buffer (@p port, @p vc). Sets the (port,
+     * vc) occupancy bit and folds @p at into the pending wake cycle.
+     * Cross-thread (@p kLocal false, any thread) the bit is a fetch_or
+     * and the cycle a CAS-min into pending_wake_. With @p kLocal the
+     * buffer is in local mode, so the pushing thread is this router's
+     * own: the port's one producer and its owner are the same thread,
+     * so a plain load and store set the bit, and the cycle folds into
+     * the owner-private local_pending_wake_ — no RMW at all.
+     */
+    template <bool kLocal>
+    void
+    note_ingress_push(PortId port, VcId vc, Cycle at)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << vc;
+        std::atomic<std::uint64_t> &mask = ingress_mask_[port];
+        if constexpr (kLocal) {
+            mask.store(mask.load(std::memory_order_relaxed) | bit,
+                       std::memory_order_relaxed);
+            if (at < local_pending_wake_)
+                local_pending_wake_ = at;
+        } else {
+            mask.fetch_or(bit, std::memory_order_acq_rel);
+            Cycle cur = pending_wake_.load(std::memory_order_relaxed);
+            while (at < cur && !pending_wake_.compare_exchange_weak(
+                                   cur, at, std::memory_order_release,
+                                   std::memory_order_relaxed)) {
+            }
+        }
+    }
 
     void do_route_compute(IngressPort &ip, VcState &st, const Flit &f);
     bool try_vc_allocate(IngressPort &ip, VcState &st, const Flit &f,
@@ -443,14 +488,27 @@ class Router : public sim::Clocked
      * producer's earlier publication of the flit and the size check
      * re-sets the bit; if it lands before, the producer's set simply
      * survives. Either way no occupied buffer ever ends up unmasked.
+     * A local buffer's producer is this thread, so nothing can push
+     * between the check and the store: plain operations suffice. (All
+     * VCs of a port share one producer and hence one locality, so the
+     * word never mixes plain and RMW writers.)
      */
     void
     settle_ingress_bit(PortId port, VcId vc) const
     {
         const std::uint64_t bit = std::uint64_t{1} << vc;
-        ingress_mask_[port].fetch_and(~bit, std::memory_order_acq_rel);
-        if (ingress_[port].vcs[vc]->size_raw() != 0)
-            ingress_mask_[port].fetch_or(bit, std::memory_order_acq_rel);
+        const VcBuffer &buf = *ingress_[port].vcs[vc];
+        std::atomic<std::uint64_t> &mask = ingress_mask_[port];
+        if (buf.local()) {
+            const std::uint64_t m =
+                mask.load(std::memory_order_relaxed) & ~bit;
+            mask.store(buf.size_raw() != 0 ? m | bit : m,
+                       std::memory_order_relaxed);
+            return;
+        }
+        mask.fetch_and(~bit, std::memory_order_acq_rel);
+        if (buf.size_raw() != 0)
+            mask.fetch_or(bit, std::memory_order_acq_rel);
     }
 
     /** Downstream credit for (egress port, vc). */
@@ -460,19 +518,22 @@ class Router : public sim::Clocked
         return ep.downstream[vc]->free_slots();
     }
 
-    /** Publish the posedge free-space snapshot of @p port when the
-     *  port is arbiter-facing (see enable_free_space_snapshot). */
+    /** Publish the posedge demand and free-space snapshot of @p port
+     *  for its link arbiter; no-op unless the port is arbitrated. */
     void
-    publish_free_space_snapshot(PortId port)
+    publish_arbiter_inputs(PortId port, std::uint32_t demand)
     {
         EgressPort &ep = *egress_[port];
-        if (!ep.publish_free_space)
+        if (!ep.arbitrated)
             return;
-        std::uint32_t total = 0;
-        for (const auto *b : ep.downstream)
-            total += b->free_slots();
-        ep.free_space.store(total, std::memory_order_release);
+        ep.demand.store(demand, std::memory_order_release);
+        ep.free_space.store(egress_free_space(port),
+                            std::memory_order_release);
     }
+
+    /** Recompute the stage-B per-(egress, out VC) flag offsets after
+     *  the egress VC counts change (construction, connect_egress). */
+    void index_out_vcs();
 
     NodeId id_;
     std::uint32_t num_net_ports_;
@@ -507,9 +568,12 @@ class Router : public sim::Clocked
      * scheduling bookkeeping, not simulation state.
      */
     std::unique_ptr<std::atomic<std::uint64_t>[]> ingress_mask_;
-    /** Earliest arrival posted by note_ingress_push since the last
-     *  take_pending_wake (any thread; kNoEvent when none). */
+    /** Earliest arrival posted by cross-thread note_ingress_push
+     *  since the last take_pending_wake (any thread; kNoEvent when
+     *  none). */
     std::atomic<Cycle> pending_wake_{kNoEvent};
+    /** Same, for pushes into local buffers (owner thread only). */
+    Cycle local_pending_wake_ = kNoEvent;
     /** One wake record per ingress (port, vc), in (port, vc) order;
      *  sized in the ctor and never resized (buffers point into it). */
     std::vector<IngressWake> wake_records_;
@@ -527,10 +591,13 @@ class Router : public sim::Clocked
     std::vector<std::uint32_t> scratch_demand_;
     std::vector<char> scratch_in_port_used_;
     std::vector<std::uint32_t> scratch_eg_bw_left_;
-    /** Flattened per-(egress, out vc) single-write flags... indexed by
-     *  scratch_vc_base_[egress] + vc. */
+    /** Flattened per-(egress, out vc) single-write flags, indexed by
+     *  out_vc_base_[egress] + vc. */
     std::vector<char> scratch_out_vc_used_;
-    std::vector<std::size_t> scratch_vc_base_;
+    /** First flag index of each egress port's VCs, and the flag count
+     *  (index_out_vcs, at wiring time). */
+    std::vector<std::size_t> out_vc_base_;
+    std::size_t total_out_vcs_ = 0;
     // VCA scratch, hoisted out of try_vc_allocate for the same reason.
     std::vector<double> scratch_weights_;
     std::vector<VcId> scratch_grantable_;

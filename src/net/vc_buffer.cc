@@ -242,8 +242,14 @@ VcBuffer::push_impl(const Flit &f)
     // Release-publish: the consumer's acquire of pushed_ makes the
     // slot write (and the flow-table charge) visible with it.
     pushed_.store(seq + 1, kRelease<kLocal>);
-    if (wake_ != nullptr)
-        wake_->notify_activity(f.arrival_cycle);
+    // A local buffer's consumer runs on this thread, so it is woken
+    // through the plain-store path (Wakeable::notify_local).
+    if (wake_ != nullptr) {
+        if constexpr (kLocal)
+            wake_->notify_local(f.arrival_cycle);
+        else
+            wake_->notify_activity(f.arrival_cycle);
+    }
 }
 
 void
@@ -299,29 +305,6 @@ VcBuffer::flush_staged()
     if (wake_ != nullptr)
         wake_->notify_activity(earliest);
     return n;
-}
-
-template <bool kLocal>
-std::optional<Flit>
-VcBuffer::front_impl(Cycle now) const
-{
-    // Only the consumer writes popped_actual_, so the relaxed
-    // self-read is exact; the acquire on pushed_ pairs with the
-    // producer's release, making the slot contents visible.
-    const std::uint64_t head =
-        popped_actual_.load(std::memory_order_relaxed);
-    if (head == pushed_.load(kAcquire<kLocal>))
-        return std::nullopt;
-    const Flit &f = ring_[head % capacity_];
-    if (f.arrival_cycle > now)
-        return std::nullopt;
-    return f;
-}
-
-std::optional<Flit>
-VcBuffer::front_visible(Cycle now) const
-{
-    return local_ ? front_impl<true>(now) : front_impl<false>(now);
 }
 
 template <bool kLocal>

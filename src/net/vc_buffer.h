@@ -28,7 +28,7 @@
  *    split across threads; marked by sim::System), inter-tile buffers
  *    whose two tiles land in the same engine shard (marked per run by
  *    sim::Engine) — the buffer is switched to *local* mode: the hot
- *    paths (push/flush/front/pop/commit) drop to relaxed ordering and
+ *    paths (push/flush/pop/commit) drop to relaxed ordering and
  *    the flow table uses plain load/store arithmetic instead of
  *    read-modify-write ops. This is the common case for 1-thread and
  *    large-shard runs.
@@ -65,7 +65,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "common/ring.h"
 #include "common/types.h"
@@ -218,10 +217,28 @@ class alignas(common::kCacheLineSize) VcBuffer
     // ------------------------------------------------------------------
 
     /**
-     * Copy of the front flit if one is present *and visible* at local
-     * cycle @p now (arrival_cycle <= now); std::nullopt otherwise.
+     * The front flit if one is present *and visible* at local cycle
+     * @p now (arrival_cycle <= now); nullptr otherwise. Consumer
+     * thread only. The flit is read in place, not copied: the pointer
+     * stays valid, and the flit unchanged, until the next pop() — the
+     * producer never writes an occupied ring slot. A caller that needs
+     * the flit after popping uses pop()'s return value.
      */
-    std::optional<Flit> front_visible(Cycle now) const;
+    const Flit *
+    front_ready(Cycle now) const
+    {
+        // Only the consumer writes popped_actual_, so the relaxed
+        // self-read is exact; the acquire on pushed_ pairs with the
+        // producer's release, making the slot contents visible (and
+        // costs nothing in local mode on x86, like the other inline
+        // views).
+        const std::uint64_t head =
+            popped_actual_.load(std::memory_order_relaxed);
+        if (head == pushed_.load(std::memory_order_acquire))
+            return nullptr;
+        const Flit *f = &ring_[head % capacity_];
+        return f->arrival_cycle <= now ? f : nullptr;
+    }
 
     /** True when no flits are physically present (even invisible ones). */
     bool
@@ -241,9 +258,9 @@ class alignas(common::kCacheLineSize) VcBuffer
     }
 
     /**
-     * Pop the front flit. The caller must have observed it via
-     * front_visible(). The credit is returned to the producer only at
-     * the next commit_negedge().
+     * Pop the front flit and return a copy of it. The caller must have
+     * observed it via front_ready(). The credit is returned to the
+     * producer only at the next commit_negedge().
      */
     Flit pop();
 
@@ -323,9 +340,6 @@ class alignas(common::kCacheLineSize) VcBuffer
 
     /// flush_staged() body.
     template <bool kLocal> std::uint32_t flush_impl();
-
-    /// front_visible() body.
-    template <bool kLocal> std::optional<Flit> front_impl(Cycle now) const;
 
     /// pop() body.
     template <bool kLocal> Flit pop_impl();

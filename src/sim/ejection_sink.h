@@ -25,7 +25,7 @@ class EjectionSink : public Frontend
     {
         for (VcId v = 0; v < router_->num_ejection_vcs(); ++v) {
             auto &buf = router_->ejection_buffer(v);
-            while (buf.front_visible(now).has_value())
+            while (buf.front_ready(now) != nullptr)
                 buf.pop();
         }
     }

@@ -286,6 +286,14 @@ class Shard final : public Tile::WakeSink
     /** Tile::WakeSink — tile @p t has work actionable at @p at. */
     void wake(Tile &t, Cycle at) override;
 
+    /** Tile::WakeSink, on this shard's run thread (a same-shard push):
+     *  applied at once, with no thread check. */
+    void
+    wake_local(Tile &t, Cycle at) override
+    {
+        apply_wake(t.sched_slot(), at);
+    }
+
   private:
     // Per-tile scheduling state (event mode only), kept as parallel
     // packed arrays instead of an array-of-structs: the hot consumers

@@ -63,6 +63,12 @@ class Tile : public Wakeable
         /** Tile @p t has externally produced work actionable at cycle
          *  @p at; schedule it no later than that. */
         virtual void wake(Tile &t, Cycle at) = 0;
+
+        /** Same as wake(), invoked on the sink's own worker thread (a
+         *  push into a local buffer, Tile::notify_local), so no
+         *  thread check or cross-thread post is needed. The default
+         *  forwards to wake(). */
+        virtual void wake_local(Tile &t, Cycle at) { wake(t, at); }
     };
 
     /** @param id this tile's node id; @param seed its private PRNG seed. */
@@ -135,6 +141,19 @@ class Tile : public Wakeable
         invalidate_aggregates();
         if (wake_sink_ != nullptr)
             wake_sink_->wake(*this, at);
+    }
+
+    /**
+     * notify_activity() from this tile's own thread (Wakeable; a push
+     * into a local buffer): relaxed invalidation, and the sink's
+     * same-thread entry point.
+     */
+    void
+    notify_local(Cycle at) override
+    {
+        invalidate_aggregates<true>();
+        if (wake_sink_ != nullptr)
+            wake_sink_->wake_local(*this, at);
     }
 
     /**
@@ -220,13 +239,19 @@ class Tile : public Wakeable
      * wake application always invalidates once more on the owning
      * thread. Only the validity flags are touched cross-thread; the
      * cached values themselves are written by the owning thread alone.
+     * @p kLocal: the caller is the owning thread itself, so program
+     * order already places the stores before its next fill and
+     * relaxed stores suffice.
      */
+    template <bool kLocal = false>
     void
     invalidate_aggregates() const
     {
-        valid_.busy.store(false, std::memory_order_release);
-        valid_.next.store(false, std::memory_order_release);
-        valid_.done.store(false, std::memory_order_release);
+        constexpr std::memory_order order =
+            kLocal ? std::memory_order_relaxed : std::memory_order_release;
+        valid_.busy.store(false, order);
+        valid_.next.store(false, order);
+        valid_.done.store(false, order);
     }
 
     /** Attach this tile's router (wired by System): the router's
@@ -598,7 +623,7 @@ class Tile : public Wakeable
      * is a no-op by the wake-seam contract). Outside fine-grain mode
      * the fold is never read; set_fine(true) clears it.
      */
-    struct EjectionWake : Wakeable
+    struct EjectionWake final : Wakeable
     {
         /** @param t the owning tile. */
         explicit EjectionWake(Tile *t) : tile(t) {}
@@ -610,6 +635,8 @@ class Tile : public Wakeable
             if (at < tile->ej_pending_)
                 tile->ej_pending_ = at;
         }
+        /** Ejection buffers are local: the same plain fold. */
+        void notify_local(Cycle at) override { notify_activity(at); }
     };
 
     /// Component kinds, indexed like negedge_order_ (fine-grain

@@ -66,7 +66,8 @@ Bridge::choose_injection_vc(const net::PacketDesc &pkt)
     }
     // Pick the emptiest injection VC; break ties randomly so that the
     // injection order does not systematically favour low VC ids.
-    std::vector<VcId> best;
+    std::vector<VcId> &best = scratch_best_vcs_;
+    best.clear();
     std::uint32_t best_free = 0;
     for (VcId v = lo; v < lo + span; ++v) {
         std::uint32_t free = router_->injection_buffer(v).free_slots();
@@ -101,30 +102,29 @@ Bridge::posedge(Cycle now)
         VcId v = static_cast<VcId>((now + i) % evcs);
         auto &buf = router_->ejection_buffer(v);
         while (rx_budget > 0) {
-            auto f = buf.front_visible(now);
-            if (!f.has_value())
+            if (buf.front_ready(now) == nullptr)
                 break;
-            buf.pop();
+            const net::Flit f = buf.pop();
             --rx_budget;
             ++rx_backlog_flits_;
-            Partial &part = rx_partial_[f->packet];
-            if (f->head) {
-                part.desc.flow = f->original_flow;
-                part.desc.src = f->src;
-                part.desc.dst = f->dst;
-                part.desc.size = f->packet_size;
-                part.desc.payload = f->payload;
+            Partial &part = rx_partial_[f.packet];
+            if (f.head) {
+                part.desc.flow = f.original_flow;
+                part.desc.src = f.src;
+                part.desc.dst = f.dst;
+                part.desc.size = f.packet_size;
+                part.desc.payload = f.payload;
             }
             ++part.flits;
-            if (f->tail)
-                part.tail_latency = f->latency + f->inject_offset;
-            if (part.flits == f->packet_size) {
+            if (f.tail)
+                part.tail_latency = f.latency + f.inject_offset;
+            if (part.flits == f.packet_size) {
                 RxPacket pkt;
                 pkt.desc = part.desc;
                 pkt.latency = part.tail_latency;
                 pkt.delivered_cycle = now;
                 rx_queue_.push_back(pkt);
-                rx_partial_.erase(f->packet);
+                rx_partial_.erase(f.packet);
             }
             if (cfg_.rx_capacity_flits != 0 &&
                 rx_backlog_flits_ >= cfg_.rx_capacity_flits)

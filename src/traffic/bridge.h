@@ -24,6 +24,7 @@
 #include <deque>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -138,6 +139,9 @@ class Bridge
     VcId tx_vc_ = kInvalidVc;
     Cycle tx_head_cycle_ = 0;
     std::uint64_t next_packet_seq_ = 0;
+    /** Emptiest-VC tie set of choose_injection_vc, reused across
+     *  packets so injection does not allocate. */
+    std::vector<VcId> scratch_best_vcs_;
 
     struct Partial
     {

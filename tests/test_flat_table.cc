@@ -242,7 +242,7 @@ TEST(FlatTable, BuildContractPanics)
 TEST(FlatTable, WeightlessValuesAndIteration)
 {
     // uint32_t values (the flow-stats index shape): no weight field,
-    // so totals are 0.0 and for_each_key/entry_index still work.
+    // so totals are 0.0 and for_each_key/lookup still work.
     common::FlatTable<std::uint64_t, std::uint32_t> t;
     t.begin_build(3, 3);
     for (std::uint32_t i = 0; i < 3; ++i)
@@ -260,7 +260,7 @@ TEST(FlatTable, WeightlessValuesAndIteration)
 
     const auto *e = t.lookup(101);
     ASSERT_NE(e, nullptr);
-    EXPECT_EQ(t.entry_index(e), 1u); // insertion order
+    EXPECT_EQ(e->front(), 1u); // the value added under key 101
 }
 
 TEST(FlatTable, ArenaPlacement)

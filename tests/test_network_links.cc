@@ -156,6 +156,53 @@ TEST(BidirLink, AsymmetricDemandGetsFullPool)
     EXPECT_EQ(h.net->router(1).egress_bandwidth(0), 0u);
 }
 
+TEST(Router, PortsWithoutArbiterPublishNoDemand)
+{
+    // Only a link arbiter reads a port's demand and sets its
+    // bandwidth, so posedge leaves that seam alone on every other
+    // port: with unidirectional links the demand stays 0 and the
+    // bandwidth the configured one while a packet streams out.
+    NetworkConfig cfg;
+    cfg.router.link_bandwidth = 3;
+    auto topo = Topology::mesh2d(2, 1);
+    Harness h(topo, cfg);
+    ASSERT_TRUE(h.net->links_owned_by(0).empty());
+    routing::build_xy(*h.net, {{1, 0, 1, 1.0}});
+    for (NodeId n = 0; n < topo.num_nodes(); ++n)
+        h.net->router(n).freeze_tables();
+
+    Router &a = h.net->router(0);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        Flit f;
+        f.flow = 1;
+        f.original_flow = 1;
+        f.packet = 7;
+        f.src = 0;
+        f.dst = 1;
+        f.seq = i;
+        f.packet_size = 4;
+        f.head = i == 0;
+        f.tail = i == 3;
+        f.arrival_cycle = 1;
+        a.injection_buffer(0).push(f);
+    }
+    Router &b = h.net->router(1);
+    const PortId toward_a = topo.port_to(1, 0);
+    for (Cycle c = 1; c <= 6; ++c) {
+        a.posedge(c);
+        for (PortId e = 0; e <= a.cpu_port(); ++e) {
+            EXPECT_EQ(a.egress_demand(e), 0u) << "cycle " << c;
+            EXPECT_EQ(a.egress_bandwidth(e), 3u) << "cycle " << c;
+        }
+        a.negedge(c);
+    }
+    // The packet did leave: it sits in B's ingress buffers.
+    std::uint32_t arrived = 0;
+    for (VcId v = 0; v < cfg.router.net_vcs; ++v)
+        arrived += b.ingress_buffer(toward_a, v).size_raw();
+    EXPECT_EQ(arrived, 4u);
+}
+
 TEST(BidirLink, ZeroBandwidthRejected)
 {
     NetworkConfig cfg;

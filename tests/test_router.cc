@@ -378,52 +378,62 @@ TEST(Router, OccupancyMasksCoverEveryBufferedFlit)
     // Stage A, the negedge commit and has_buffered_flits() walk only
     // the per-port occupancy masks. Their invariant — every non-empty
     // ingress buffer has its bit set — is checked against the
-    // reference full scan after every cycle of randomized runs, with
-    // and without shard boundaries. Each check ends a one-cycle run,
-    // which starts every tile and component awake, so the runs poll:
-    // an event-fine run could not sleep anything between checks. The
-    // differential harness checks the masks at the end of long
-    // event-fine runs.
+    // reference full scan after every cycle of randomized runs. Each
+    // configuration runs on one thread, where every ingress buffer is
+    // local and pushes set mask bits with plain stores, and on two,
+    // where the shard boundary adds cross-thread buffers whose pushes
+    // set them with atomic read-modify-writes. Each check ends a
+    // one-cycle run, which starts every tile and component awake, so
+    // the runs poll: an event-fine run could not sleep anything
+    // between checks. The differential harness checks the masks at
+    // the end of long event-fine runs.
     static const net::VcaMode kVca[] = {
         net::VcaMode::Dynamic, net::VcaMode::StaticSet,
         net::VcaMode::Edvca, net::VcaMode::Faa};
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        Rng draw(seed * 7919);
-        net::NetworkConfig cfg;
-        cfg.router.net_vcs = static_cast<std::uint32_t>(1 + draw.below(8));
-        cfg.router.cpu_vcs = static_cast<std::uint32_t>(1 + draw.below(8));
-        cfg.router.net_vc_capacity =
-            static_cast<std::uint32_t>(1 + draw.below(4));
-        cfg.router.vca_mode = kVca[draw.below(4)];
-        cfg.link_latency = static_cast<Cycle>(1 + draw.below(2));
-        cfg.bidirectional_links = draw.below(2) == 1;
-        const Topology topo = Topology::mesh2d(4, 4);
-        System sys(topo, cfg, seed);
-        const auto pattern = traffic::pattern_by_name("uniform", 16);
-        net::routing::build_xy(sys.network(), traffic::flows_all_pairs(16));
-        for (NodeId n = 0; n < 16; ++n) {
-            traffic::SyntheticConfig sc;
-            sc.pattern = pattern;
-            sc.packet_size = static_cast<std::uint32_t>(1 + draw.below(6));
-            sc.rate = 0.05 + 0.05 * static_cast<double>(draw.below(6));
-            sc.stop_at = 200;
-            sys.add_frontend(
-                n, std::make_unique<traffic::SyntheticInjector>(
-                       sys.tile(n), sc));
+        for (const unsigned threads : {1u, 2u}) {
+            Rng draw(seed * 7919); // one configuration per seed
+            net::NetworkConfig cfg;
+            cfg.router.net_vcs =
+                static_cast<std::uint32_t>(1 + draw.below(8));
+            cfg.router.cpu_vcs =
+                static_cast<std::uint32_t>(1 + draw.below(8));
+            cfg.router.net_vc_capacity =
+                static_cast<std::uint32_t>(1 + draw.below(4));
+            cfg.router.vca_mode = kVca[draw.below(4)];
+            cfg.link_latency = static_cast<Cycle>(1 + draw.below(2));
+            cfg.bidirectional_links = draw.below(2) == 1;
+            const Topology topo = Topology::mesh2d(4, 4);
+            System sys(topo, cfg, seed);
+            const auto pattern = traffic::pattern_by_name("uniform", 16);
+            net::routing::build_xy(sys.network(),
+                                   traffic::flows_all_pairs(16));
+            for (NodeId n = 0; n < 16; ++n) {
+                traffic::SyntheticConfig sc;
+                sc.pattern = pattern;
+                sc.packet_size =
+                    static_cast<std::uint32_t>(1 + draw.below(6));
+                sc.rate = 0.05 + 0.05 * static_cast<double>(draw.below(6));
+                sc.stop_at = 200;
+                sys.add_frontend(
+                    n, std::make_unique<traffic::SyntheticInjector>(
+                           sys.tile(n), sc));
+            }
+            sim::CycleAccurateSync policy;
+            sim::EngineOptions opts;
+            opts.schedule = sim::Schedule::Poll;
+            for (Cycle c = 1; c <= 300; ++c) {
+                opts.max_cycles = c;
+                sys.run(policy, opts, threads);
+                for (NodeId n = 0; n < 16; ++n)
+                    ASSERT_TRUE(sys.network()
+                                    .router(n)
+                                    .ingress_masks_cover_buffers())
+                        << "seed " << seed << " threads " << threads
+                        << " cycle " << c << " router " << n;
+            }
+            EXPECT_GT(sys.collect_stats().total.flits_delivered, 0u);
         }
-        const unsigned threads = seed % 3 == 0 ? 2 : 1;
-        sim::CycleAccurateSync policy;
-        sim::EngineOptions opts;
-        opts.schedule = sim::Schedule::Poll;
-        for (Cycle c = 1; c <= 300; ++c) {
-            opts.max_cycles = c;
-            sys.run(policy, opts, threads);
-            for (NodeId n = 0; n < 16; ++n)
-                ASSERT_TRUE(
-                    sys.network().router(n).ingress_masks_cover_buffers())
-                    << "seed " << seed << " cycle " << c << " router " << n;
-        }
-        EXPECT_GT(sys.collect_stats().total.flits_delivered, 0u);
     }
 }
 

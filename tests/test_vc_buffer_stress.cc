@@ -72,8 +72,8 @@ TEST(VcBufferStress, ConservationAndOrderUnderContention)
     std::vector<std::uint32_t> next_per_flow(kFlows, 0);
     std::uint32_t got = 0;
     while (got < kFlits) {
-        auto f = b.front_visible(kAlways);
-        if (!f.has_value()) {
+        auto f = b.front_ready(kAlways);
+        if (f == nullptr) {
             b.commit_negedge();
             std::this_thread::yield();
             continue;
@@ -123,7 +123,7 @@ TEST(VcBufferStress, NegedgeCreditExactnessInLockstep)
         for (std::uint32_t c = 0; c < kCycles; ++c) {
             sync.arrive_and_wait(); // posedge begins
             // Pop at most one visible flit (router SA style).
-            if (b.front_visible(kAlways).has_value()) {
+            if (b.front_ready(kAlways) != nullptr) {
                 b.pop();
                 ++popped;
             }
@@ -168,7 +168,7 @@ TEST(VcBufferStress, EdvcaExclusivityUnderContention)
     std::thread consumer([&] {
         while (!producer_done.load(std::memory_order_acquire) ||
                !b.empty_raw()) {
-            if (b.front_visible(kAlways).has_value()) {
+            if (b.front_ready(kAlways) != nullptr) {
                 b.pop();
                 b.commit_negedge();
             } else {
@@ -257,8 +257,8 @@ TEST(VcBufferStress, StagedFlushOrderingUnderContention)
 
     std::uint32_t got = 0;
     while (got < kFlits) {
-        auto f = b.front_visible(kAlways);
-        if (!f.has_value()) {
+        auto f = b.front_ready(kAlways);
+        if (f == nullptr) {
             b.commit_negedge();
             std::this_thread::yield();
             continue;
@@ -296,8 +296,8 @@ TEST(VcBufferStress, LocalModeSemanticsMatchSynchronized)
         EXPECT_EQ(b.free_slots(), 1u);
         EXPECT_EQ(b.distinct_flows(), 2u);
         EXPECT_FALSE(b.exclusively_holds(1));
-        EXPECT_FALSE(b.front_visible(4).has_value());
-        ASSERT_TRUE(b.front_visible(5).has_value());
+        EXPECT_EQ(b.front_ready(4), nullptr);
+        ASSERT_NE(b.front_ready(5), nullptr);
 
         b.pop();
         EXPECT_EQ(b.free_slots(), 1u); // credit held until the commit
@@ -318,7 +318,7 @@ TEST(VcBufferStress, LocalModeSemanticsMatchSynchronized)
         b.set_batched(false);
 
         std::uint32_t drained = 0;
-        while (b.front_visible(kAlways).has_value()) {
+        while (b.front_ready(kAlways) != nullptr) {
             b.pop();
             ++drained;
         }
@@ -357,8 +357,8 @@ TEST(VcBufferStress, FlowTableRecyclingUnderContention)
 
     std::uint32_t got = 0;
     while (got < kFlits) {
-        auto f = b.front_visible(kAlways);
-        if (f.has_value()) {
+        auto f = b.front_ready(kAlways);
+        if (f != nullptr) {
             ASSERT_EQ(f->flow, 1000 + (got % 977));
             b.pop();
             ++got;
