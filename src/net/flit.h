@@ -18,8 +18,8 @@
  * @namespace hornet::net
  * The interconnect model: topologies, table-driven routing and VC
  * allocation, the cycle-level router pipeline, VC buffers (the only
- * inter-tile communication points), link arbiters, and the
- * congestion-oblivious reference model.
+ * inter-tile communication points), bidirectional-link bandwidth
+ * splits, and the congestion-oblivious reference model.
  */
 namespace hornet::net {
 

@@ -1,87 +1,43 @@
 /**
  * @file
- * Bidirectional-link bandwidth arbiter (paper II-A4).
+ * Bidirectional-link bandwidth split (paper II-A4).
  *
  * Inter-node connections may be bidirectional: a modeled hardware
  * arbiter collects information from the two ports facing each other
  * (flits ready to traverse in each direction and available destination
  * buffer space) and reassigns the per-direction bandwidth, potentially
  * every cycle, trading bandwidth in one direction for the other.
+ *
+ * The arbiter has no component of its own: both endpoint routers pool
+ * the facing egress ports (net::Router::pool_egress), and at each
+ * positive edge each endpoint computes its own direction's share with
+ * link_split() from the effective demand both ports published in the
+ * previous cycle. Both see the same inputs, so they agree on the
+ * split, and neither writes the other's state.
  */
 #ifndef HORNET_NET_LINK_H
 #define HORNET_NET_LINK_H
 
 #include <cstdint>
 
-#include "common/types.h"
-#include "sim/clocked.h"
-
 namespace hornet::net {
 
-class Router;
+/**
+ * Flits/cycle a bidirectional link pools: both directions' configured
+ * @p link_bandwidth. Fatal when that is zero (nothing to split).
+ */
+std::uint32_t link_pool(std::uint32_t link_bandwidth);
 
 /**
- * Arbiter for one physical link A:port_a <-> B:port_b with a shared
- * bandwidth pool. A Clocked component of the lower-id endpoint's tile,
- * acting at its negative edge only: it reads the demand and free-space
- * views both routers publish at their positive edges and sets
- * next-cycle bandwidths. Everything it touches on the non-owning
- * endpoint is one of those posedge-published atomics, so the arbiter
- * never synchronizes with the other tile's thread, and — because
- * lockstep windows put a barrier between the posedge and negedge
- * phases — its inputs are phase-stable: the split is bitwise
- * reproducible across shard counts (ROADMAP determinism corner (a),
- * fixed by publishing free_space at posedge like demand). Under loose
- * windows the snapshots may lag a remote window (a heuristic input to
- * the bandwidth split, never a push credit), within the usual
- * loose-synchronization envelope.
+ * Next-cycle bandwidth of the direction leaving the lower-id endpoint
+ * of a link pooling @p pool flits/cycle, given the effective demand of
+ * that direction (@p d_low) and of the opposite one (@p d_high). The
+ * opposite direction gets the rest of the pool. An idle link splits
+ * evenly, a one-sided load takes the whole pool, and two loaded sides
+ * share it in proportion, each keeping at least one flit/cycle.
  */
-class BidirLink : public sim::Clocked
-{
-  public:
-    /**
-     * @param total_bandwidth flits/cycle shared across both directions
-     *        (e.g. 2 when two unidirectional 1-flit links are pooled).
-     */
-    BidirLink(Router *a, PortId port_a, Router *b, PortId port_b,
-              std::uint32_t total_bandwidth);
-
-    /** Recompute the per-direction split for the next cycle. */
-    void arbitrate();
-
-    /** Positive edge: nothing (all work happens at the negedge). */
-    void posedge(Cycle) override {}
-    /** Negative edge: arbitrate the next cycle's bandwidth split. */
-    void negedge(Cycle) override { arbitrate(); }
-    /**
-     * The arbiter holds no state of its own between cycles. Note that
-     * its *output* depends on both endpoint routers' demand every
-     * cycle, which is why the event-driven scheduler pins both
-     * endpoint tiles awake instead of trying to predict the split
-     * through the wake seam (see sim::Tile::pin_awake).
-     */
-    bool idle(Cycle) const override { return true; }
-    /** Never self-schedules (reacts to router demand only). */
-    Cycle next_event(Cycle) const override { return kNoEvent; }
-
-    /** Endpoint whose tile must step this arbiter (lower node id). */
-    NodeId owner() const;
-
-    /** Node id of endpoint A (wiring/pinning introspection). */
-    NodeId node_a() const;
-    /** Node id of endpoint B (wiring/pinning introspection). */
-    NodeId node_b() const;
-
-    /** Pooled flits/cycle shared across the two directions. */
-    std::uint32_t total_bandwidth() const { return total_; }
-
-  private:
-    Router *a_;
-    PortId port_a_;
-    Router *b_;
-    PortId port_b_;
-    std::uint32_t total_;
-};
+std::uint32_t link_split(std::uint32_t d_low, std::uint32_t d_high,
+                         std::uint32_t pool);
 
 } // namespace hornet::net
 

@@ -4,6 +4,7 @@
 
 #include "common/arena.h"
 #include "common/log.h"
+#include "net/link.h"
 
 namespace hornet::net {
 
@@ -64,10 +65,14 @@ Network::Network(const Topology &topo, const NetworkConfig &cfg,
     });
 
     // Phase 2 — wire every directed link: the egress of a toward b
-    // feeds the ingress buffers of b's port facing a. Each group wires
-    // only its own routers' egresses (reading neighbors' ingress
-    // buffers, which phase 1 fully built), so all writes are
-    // group-private.
+    // feeds the ingress buffers of b's port facing a, and with
+    // bidirectional links the egress pools with b's egress facing a.
+    // Each group wires only its own routers' egresses (reading
+    // neighbors' ingress buffers and egress ports, which phase 1 fully
+    // built), so all writes are group-private.
+    const std::uint32_t pool =
+        cfg_.bidirectional_links ? link_pool(cfg_.router.link_bandwidth)
+                                 : 0;
     common::for_each_group(pl, [&](unsigned g) {
         const auto [first, last] = group_range(g);
         for (NodeId a = first; a < last; ++a) {
@@ -78,40 +83,11 @@ Network::Network(const Topology &topo, const NetworkConfig &cfg,
                 routers_[a]->connect_egress(
                     p, b, routers_[b]->ingress_buffers(q),
                     cfg_.link_latency);
+                if (cfg_.bidirectional_links)
+                    routers_[a]->pool_egress(p, *routers_[b], q, pool);
             }
         }
     });
-
-    // Phase 3 — construct the link arbiters, each group those owned by
-    // its own lower-id endpoints. A BidirLink constructor folds both
-    // endpoints' egress free space, reading the far router's
-    // downstream buffer list; the phase-2 join orders that read after
-    // the far group's connect_egress wrote the list. Each arbiter
-    // touches only the two egress ports facing its link, so groups
-    // still write disjoint state.
-    owned_links_.resize(n);
-    if (cfg_.bidirectional_links) {
-        common::for_each_group(pl, [&](unsigned g) {
-            const auto [first, last] = group_range(g);
-            for (NodeId a = first; a < last; ++a) {
-                for (NodeId b : topo_.neighbors(a)) {
-                    if (b < a)
-                        continue; // one arbiter per undirected link
-                    PortId pa = topo_.port_to(a, b);
-                    PortId pb = topo_.port_to(b, a);
-                    owned_links_[a].push_back(pl.of(a)->make<BidirLink>(
-                        routers_[a], pa, routers_[b], pb,
-                        2 * cfg_.router.link_bandwidth));
-                }
-            }
-        });
-    }
-
-    // Flat link list, assembled serially in node order so iteration
-    // order is deterministic regardless of construction parallelism.
-    for (NodeId a = 0; a < n; ++a)
-        for (BidirLink *l : owned_links_[a])
-            links_.push_back(l);
 }
 
 bool

@@ -1,11 +1,11 @@
 /**
  * @file
  * Whole-network assembly: routers for every node of a topology, wired
- * together, with optional bidirectional-link arbiters.
+ * together, optionally with bidirectional links (net/link.h).
  *
- * The Network owns the routers and link arbiters but knows nothing
- * about threads or frontends; the simulation engine (hornet::sim)
- * wraps each router in a tile.
+ * The Network owns the routers but knows nothing about threads or
+ * frontends; the simulation engine (hornet::sim) wraps each router in
+ * a tile.
  */
 #ifndef HORNET_NET_NETWORK_H
 #define HORNET_NET_NETWORK_H
@@ -16,7 +16,6 @@
 #include "common/placement.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "net/link.h"
 #include "net/router.h"
 #include "net/topology.h"
 
@@ -29,13 +28,14 @@ struct NetworkConfig
     RouterConfig router;
     /** Link latency in cycles (>= 1). */
     Cycle link_latency = 1;
-    /** Enable bidirectional-link arbitration (paper II-A4). When on,
-     *  each physical link pools 2x router.link_bandwidth. */
+    /** Enable bidirectional links (paper II-A4): each physical link
+     *  pools 2x router.link_bandwidth and splits it between its two
+     *  directions every cycle (Router::pool_egress). */
     bool bidirectional_links = false;
 };
 
 /**
- * All routers of one simulated system plus their link arbiters.
+ * All routers of one simulated system.
  */
 class Network
 {
@@ -71,12 +71,6 @@ class Network
         return static_cast<std::uint32_t>(routers_.size());
     }
 
-    /** Link arbiters owned by node @p n (stepped at its negedge). */
-    const std::vector<BidirLink *> &links_owned_by(NodeId n) const
-    {
-        return owned_links_.at(n);
-    }
-
     /** Total flits physically buffered anywhere (fast-forward test). */
     bool has_buffered_flits() const;
 
@@ -84,11 +78,9 @@ class Network
     Topology topo_;
     NetworkConfig cfg_;
     /// Fallback arena when no placement map was supplied; the routers
-    /// and links below live in it (or in the caller's arenas).
+    /// below live in it (or in the caller's arenas).
     std::unique_ptr<common::Arena> own_arena_;
     std::vector<Router *> routers_;
-    std::vector<BidirLink *> links_;
-    std::vector<std::vector<BidirLink *>> owned_links_;
 };
 
 } // namespace hornet::net

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/log.h"
+#include "net/link.h"
 
 namespace hornet::net {
 
@@ -56,8 +57,6 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
         EgressPort *ep = arena->make<EgressPort>();
         ep->next_node = neighbors[p];
         ep->bandwidth = cfg_.link_bandwidth;
-        ep->bandwidth_next.store(cfg_.link_bandwidth,
-                                 std::memory_order_relaxed);
         egress_.push_back(ep);
     }
     for (std::uint32_t v = 0; v < cfg_.cpu_vcs; ++v)
@@ -68,8 +67,6 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
     cpu_ep->is_cpu = true;
     cpu_ep->link_latency = 1;
     cpu_ep->bandwidth = cfg_.link_bandwidth;
-    cpu_ep->bandwidth_next.store(cfg_.link_bandwidth,
-                                 std::memory_order_relaxed);
     for (auto *b : ejection_)
         cpu_ep->downstream.push_back(b);
     cpu_ep->vc_state.resize(cfg_.cpu_vcs);
@@ -212,19 +209,22 @@ Router::reset_run_state()
     for (auto *ep : egress_) {
         ep->vc_state.assign(ep->vc_state.size(), EgressVcState{});
         ep->bandwidth = cfg_.link_bandwidth;
-        ep->bandwidth_next.store(cfg_.link_bandwidth,
-                                 std::memory_order_relaxed);
-        ep->demand.store(0, std::memory_order_relaxed);
-        if (ep->arbitrated) {
-            std::uint32_t total = 0;
-            for (const auto *b : ep->downstream)
-                total += b->free_slots();
-            ep->free_space.store(total, std::memory_order_relaxed);
-        }
+        for (auto &w : ep->demand)
+            w.store(0, std::memory_order_relaxed);
     }
     pending_releases_.clear();
     pending_wake_.store(kNoEvent, std::memory_order_relaxed);
     local_pending_wake_ = kNoEvent;
+}
+
+void
+Router::pool_egress(PortId port, const Router &peer, PortId peer_port,
+                    std::uint32_t pool)
+{
+    EgressPort &ep = *egress_.at(port);
+    ep.peer = peer.egress_.at(peer_port);
+    ep.low_end = id_ < peer.id_;
+    ep.pool = pool;
 }
 
 std::uint32_t
@@ -424,13 +424,19 @@ Router::try_vc_allocate(IngressPort &ip, VcState &st, const Flit &f,
 void
 Router::posedge(Cycle now)
 {
-    // Refresh the bandwidth of arbitrated ports (their bidirectional
-    // links set it at the previous negedge, paper II-A4); every other
-    // port keeps its configured bandwidth.
-    for (auto *ep : egress_)
-        if (ep->arbitrated)
-            ep->bandwidth =
-                ep->bandwidth_next.load(std::memory_order_acquire);
+    // Pooled ports take this cycle's share of their bidirectional link
+    // (paper II-A4) from both ends' demand of the previous cycle; the
+    // peer computes the same split from the same two words. Every
+    // other port keeps its configured bandwidth.
+    for (auto *ep : egress_) {
+        if (ep->peer == nullptr)
+            continue;
+        const std::uint32_t mine = read_demand(*ep, now - 1);
+        const std::uint32_t theirs = read_demand(*ep->peer, now - 1);
+        ep->bandwidth = ep->low_end
+                            ? link_split(mine, theirs, ep->pool)
+                            : ep->pool - link_split(theirs, mine, ep->pool);
+    }
 
     // ------------------------------------------------------------------
     // Stage A: route computation + VC allocation for packets whose head
@@ -459,15 +465,12 @@ Router::posedge(Cycle now)
                 settle_ingress_bit(p, v); // stale bit: drained
         }
     }
-    // Nothing routable and nothing to release: the tick reduces to the
-    // arbiter publish below. (Stage A/B over an empty candidate set
-    // touch no state and draw nothing from the PRNG, so this early
-    // exit is bitwise neutral.)
-    if (cands.empty() && pending_releases_.empty()) {
-        for (PortId e = 0; e < egress_.size(); ++e)
-            publish_arbiter_inputs(e, 0);
+    // Nothing routable and nothing to release: nothing to do, and no
+    // demand to publish. (Stage A/B over an empty candidate set touch
+    // no state and draw nothing from the PRNG, so this early exit is
+    // bitwise neutral.)
+    if (cands.empty() && pending_releases_.empty())
         return;
-    }
     rng_->shuffle(cands);
 
     for (auto [p, v] : cands) {
@@ -592,10 +595,9 @@ Router::posedge(Cycle now)
         }
     }
 
-    // Publish demand and the phase-stable free-space snapshot for the
-    // bidirectional-link arbiters (arbitrated ports only).
+    // Publish the pooled ports' demand for the next cycle's split.
     for (PortId e = 0; e < egress_.size(); ++e)
-        publish_arbiter_inputs(e, demand[e]);
+        publish_demand(e, demand[e], now);
 }
 
 void

@@ -22,6 +22,7 @@
 #ifndef HORNET_NET_ROUTER_H
 #define HORNET_NET_ROUTER_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -70,10 +71,9 @@ struct RouterConfig
 /**
  * One router node; a Clocked component of its tile. Not thread-safe
  * except through the lock-free VC-buffer producer/consumer interfaces
- * and the atomic egress views of arbitrated ports (egress_demand /
- * egress_free_space_snapshot / set_egress_bandwidth_next, used by link
- * arbiters possibly on another thread); posedge()/negedge() must be
- * called by the owning tile's thread only.
+ * and the demand words of pooled ports (pool_egress), which the peer
+ * endpoint of a bidirectional link reads, possibly on another thread;
+ * posedge()/negedge() must be called by the owning tile's thread only.
  */
 class Router : public sim::Clocked
 {
@@ -156,9 +156,10 @@ class Router : public sim::Clocked
      * Return the router to its just-constructed dynamic state so a
      * drained system can be reused for another run (the sim::JobEngine
      * reset-and-rerun path): per-VC route/allocation progress, egress
-     * VC ownership, pending releases and the arbiter-facing atomics
-     * (bandwidth, demand, free-space snapshot) all reset to their
-     * construction values. The frozen tables are untouched — they are
+     * VC ownership, pending releases, bandwidth and the demand words
+     * of pooled ports all reset to their construction values (the
+     * rerun's clock restarts at 0, so a kept word's cycle stamp could
+     * match again). The frozen tables are untouched — they are
      * run-independent. Panics if any flit is still buffered here: a
      * non-drained router cannot be reset without losing traffic.
      */
@@ -262,81 +263,61 @@ class Router : public sim::Clocked
      * Consume the earliest pending ingress arrival posted by pushes
      * since the last take (kNoEvent when none): the minimum of the
      * cross-thread and the same-thread pending cycles. Owner thread
-     * only; the tile's fine scheduler calls it at each cycle begin to
-     * decide when a sleeping router must wake.
+     * only; the tile calls it at each cycle begin to decide when a
+     * sleeping router must wake.
      */
     Cycle take_pending_wake();
 
     /** Any flit sitting in an ejection buffer, drained or not (owner
-     *  thread; the tile's fine scheduler keeps frontends awake while
-     *  this holds, so delivered flits are always drained on time). */
+     *  thread; the tile keeps frontends awake while this holds, so
+     *  delivered flits are always drained on time). */
     bool has_ejection_flits() const;
 
     // ------------------------------------------------------------------
-    // Bidirectional-link support (paper II-A4).
+    // Bidirectional links (paper II-A4; net/link.h).
     // ------------------------------------------------------------------
-
-    /** Flits ready to leave through @p port, published at posedge on
-     *  arbitrated ports only (attach_link_arbiter); 0 on the others. */
-    std::uint32_t
-    egress_demand(PortId port) const
-    {
-        return egress_[port]->demand.load(std::memory_order_acquire);
-    }
 
     /**
      * Free space across the downstream buffers of @p port, folded from
-     * the buffers' credit views *now*. Exact on the owning thread —
-     * adaptive route computation uses it mid-posedge — but NOT
-     * phase-stable: a cross-thread reader races the consumer's pop
-     * commits. Link arbiters therefore read the posedge-published
-     * egress_free_space_snapshot() instead (the determinism fix for
-     * ROADMAP corner (a)); only the producing router's own view is
-     * ever a push authorization.
+     * the buffers' credit views now. Only this router reads them:
+     * adaptive route computation mid-posedge, and the effective demand
+     * a pooled port publishes at the end of its posedge.
      */
     std::uint32_t egress_free_space(PortId port) const;
 
     /**
-     * Phase-stable downstream free space of @p port, published at the
-     * end of this router's posedge exactly like `demand` (any thread).
-     * It reflects the router's own pushes up to and including the
-     * publishing cycle's stage B, and remote pop commits up to the
-     * previous negedge — both fixed by the inter-phase barrier under
-     * lockstep windows, which is what makes bidirectional-link
-     * arbitration reproducible across shard counts. Only maintained on
-     * arbitrated ports (attach_link_arbiter); like the demand it rides
-     * with, it is a bandwidth-split input, never a push credit.
+     * Pool egress @p port with egress @p peer_port of @p peer, the
+     * router it faces, into one bidirectional link of @p pool
+     * flits/cycle (link_pool). From then on each posedge of this
+     * router first takes this port's share of the pool (link_split
+     * over both ports' demand words of the previous cycle), and ends
+     * by publishing the port's effective demand — flits ready to
+     * leave, bounded by downstream free space — into its own word.
+     * The peer pools its facing port the same way. Writes only this
+     * port's state, so a Network may pair ports from several
+     * construction threads; @p peer must outlive this router. Wiring
+     * time only.
      */
-    std::uint32_t
-    egress_free_space_snapshot(PortId port) const
+    void pool_egress(PortId port, const Router &peer, PortId peer_port,
+                     std::uint32_t pool);
+
+    /** True when @p port is one end of a pooled bidirectional link. */
+    bool
+    egress_pooled(PortId port) const
     {
-        return egress_[port]->free_space.load(std::memory_order_acquire);
+        return egress_.at(port)->peer != nullptr;
     }
 
     /**
-     * Mark @p port as arbitrated by a link arbiter: from now on each
-     * posedge refreshes its bandwidth from set_egress_bandwidth_next()
-     * and publishes its demand and free-space snapshot. Called at
-     * wiring time by BidirLink for its two endpoint ports (writes only
-     * that port's state, so arbiters may be attached to one router from
-     * several construction threads). Posedge never touches the other
-     * ports' arbiter-facing atomics (a cache line per port): their
-     * bandwidth stays the configured one and their demand reads 0.
+     * Effective demand @p port published at the posedge of cycle @p c
+     * (any thread). A word stamped with another cycle reads 0, which
+     * is what an idle router publishes: a router that was not ticked
+     * at @p c holds no visible flit. Unpooled ports always read 0.
      */
-    void
-    attach_link_arbiter(PortId port)
+    std::uint32_t
+    published_demand(PortId port, Cycle c) const
     {
-        egress_.at(port)->arbitrated = true;
-        egress_[port]->free_space.store(egress_free_space(port),
-                                        std::memory_order_release);
-    }
-
-    /** Set next-cycle bandwidth of arbitrated @p port (called by its
-     *  link arbiter during the negedge phase). */
-    void
-    set_egress_bandwidth_next(PortId port, std::uint32_t bw)
-    {
-        egress_[port]->bandwidth_next.store(bw, std::memory_order_release);
+        return read_demand(*egress_.at(port), c);
     }
 
     /** Current-cycle bandwidth of @p port (tests). */
@@ -383,26 +364,47 @@ class Router : public sim::Clocked
     {
         NodeId next_node = kInvalidNode;
         bool is_cpu = false;
-        /// A link arbiter reads and sets this port's seam below (set
-        /// by attach_link_arbiter); posedge touches the seam only then.
-        bool arbitrated = false;
+        /// This end leaves the lower-id router of its pooled link: it
+        /// takes link_split's share, the peer the rest.
+        bool low_end = false;
         Cycle link_latency = 1;
         std::vector<VcBuffer *> downstream;
         std::vector<EgressVcState> vc_state;
         std::uint32_t bandwidth = 1;
-        /// Link-arbiter seam, on its own cache line: bandwidth_next is
-        /// written by the BidirLink arbiter — potentially from the
-        /// other endpoint's thread — and demand is read by it, so this
-        /// cross-thread traffic must not evict the owner's hot egress
-        /// state above (the downstream buffer pointers and VC
-        /// ownership it walks every cycle).
+        /// Flits/cycle of the pooled link (pooled ports only).
+        std::uint32_t pool = 0;
+        /// The peer router's facing port; null when not pooled.
+        const EgressPort *peer = nullptr;
+        /// Effective-demand words, slot c & 1 written at the end of
+        /// posedge(c): the cycle stamp (its low 48 bits) in the high
+        /// bits, the demand in the low kDemandBits, one word so a
+        /// reader never sees a torn pair.
+        /// Two slots keep the peer's read of cycle c - 1 apart from
+        /// this router's write of cycle c in the same phase. On their
+        /// own cache line: the peer endpoint reads them, possibly from
+        /// another thread, and must not evict the owner's hot egress
+        /// state above.
         alignas(common::kCacheLineSize)
-            std::atomic<std::uint32_t> bandwidth_next{1};
-        std::atomic<std::uint32_t> demand{0};
-        /// Phase-stable downstream free space, published at posedge
-        /// alongside demand (see egress_free_space_snapshot).
-        std::atomic<std::uint32_t> free_space{0};
+            std::atomic<std::uint64_t> demand[2]{};
     };
+
+    /// Low bits of a demand word holding the demand (saturating; a
+    /// port's demand is bounded by its router's ingress VC count).
+    static constexpr unsigned kDemandBits = 16;
+    static constexpr std::uint64_t kDemandMask =
+        (std::uint64_t{1} << kDemandBits) - 1;
+
+    /** The demand @p ep published at posedge(@p c); 0 when its word
+     *  for that slot carries another cycle's stamp. */
+    static std::uint32_t
+    read_demand(const EgressPort &ep, Cycle c)
+    {
+        const std::uint64_t w =
+            ep.demand[c & 1].load(std::memory_order_relaxed);
+        return (w & ~kDemandMask) == (c << kDemandBits)
+                   ? static_cast<std::uint32_t>(w & kDemandMask)
+                   : 0;
+    }
 
     /**
      * Wake target of one ingress VC buffer. Producers notify on their
@@ -518,17 +520,19 @@ class Router : public sim::Clocked
         return ep.downstream[vc]->free_slots();
     }
 
-    /** Publish the posedge demand and free-space snapshot of @p port
-     *  for its link arbiter; no-op unless the port is arbitrated. */
+    /** Publish @p demand flits ready to leave through pooled @p port
+     *  at posedge(@p now), bounded by downstream free space. An unset
+     *  word reads 0, so a zero demand needs no store. */
     void
-    publish_arbiter_inputs(PortId port, std::uint32_t demand)
+    publish_demand(PortId port, std::uint32_t demand, Cycle now)
     {
         EgressPort &ep = *egress_[port];
-        if (!ep.arbitrated)
+        if (ep.peer == nullptr || demand == 0)
             return;
-        ep.demand.store(demand, std::memory_order_release);
-        ep.free_space.store(egress_free_space(port),
-                            std::memory_order_release);
+        const std::uint64_t eff = std::min<std::uint64_t>(
+            {demand, egress_free_space(port), kDemandMask});
+        ep.demand[now & 1].store((now << kDemandBits) | eff,
+                                 std::memory_order_relaxed);
     }
 
     /** Recompute the stage-B per-(egress, out VC) flag offsets after

@@ -144,10 +144,12 @@ class alignas(common::kCacheLineSize) VcBuffer
      * Conservative (freed space shows up one negedge later), which is
      * what makes parallel cycle-accurate runs deterministic. Exact on
      * the producer's own thread, which is the only thread that may
-     * use it as a push authorization. Other threads may poll it (link
-     * arbiters do, as a bandwidth heuristic) but get a snapshot that
-     * can be stale in either direction — a remote reader can miss
-     * recent pushes as easily as recent commits.
+     * use it as a push authorization, and the only one that reads it
+     * in a run (the far end of a bidirectional link reads the near
+     * router's published demand, not its buffers). Another thread
+     * would get a snapshot that can be stale in either direction — a
+     * remote reader can miss recent pushes as easily as recent
+     * commits.
      */
     std::uint32_t
     free_slots() const
@@ -394,11 +396,11 @@ class alignas(common::kCacheLineSize) VcBuffer
     /// Batched-handoff state. The staged_ window itself is
     /// producer-thread private (lazily heap-allocated by the first
     /// set_batched(true) — only cross-shard buffers ever batch);
-    /// staged_count_ mirrors staged_size_ atomically because the
-    /// credit/occupancy views above are also read by link arbiters on
-    /// other threads (Router::egress_free_space from
-    /// BidirLink::arbitrate). Flow counting for staged flits happens
-    /// at push time, so the logical views stay exact.
+    /// staged_count_ mirrors staged_size_ for the credit/occupancy
+    /// views above. Only the producing router (or bridge) reads those
+    /// views in a run; the atomic keeps them well-defined for any
+    /// other reader. Flow counting for staged flits happens at push
+    /// time, so the logical views stay exact.
     bool batched_ = false;
     std::atomic<std::uint32_t> staged_count_{0};
     std::unique_ptr<Flit[]> staged_;

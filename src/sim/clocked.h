@@ -1,8 +1,8 @@
 /**
  * @file
  * The Clocked component interface: the contract between everything that
- * evolves with a tile clock (routers, link arbiters, memory endpoints,
- * traffic frontends) and the simulation engine.
+ * evolves with a tile clock (routers, memory endpoints, traffic
+ * frontends) and the simulation engine.
  *
  * A clock domain (a Tile) ticks its components in two phases per cycle
  * (paper II-C): a positive edge in which components read state published
@@ -87,8 +87,8 @@ class Clocked
 
     /**
      * True once the component has finished its workload entirely.
-     * Components with no notion of a finite workload (routers, link
-     * arbiters) report done by default. A false→true flip without an
+     * Components with no notion of a finite workload (routers) report
+     * done by default. A false→true flip without an
      * intervening tick must be announced via next_event() (see
      * there); flips back to false only happen when new work arrives,
      * which always wakes the owning tile.

@@ -28,17 +28,17 @@ schedule_from_name(const std::string &name)
 namespace {
 
 /**
- * Scheduler selection when EngineOptions::schedule is unset: the
+ * Schedule selection when EngineOptions::schedule is unset: the
  * HORNET_SCHEDULE environment variable ("poll" or "event-fine"; unset
- * or empty selects polling). This is how CI runs the whole test suite
- * under both schedulers without touching every call site.
+ * or empty selects event-fine). This is how CI runs the whole test
+ * suite under both schedules without touching every call site.
  */
 Schedule
 env_schedule_default()
 {
     const char *e = std::getenv("HORNET_SCHEDULE");
     if (e == nullptr || *e == '\0')
-        return Schedule::Poll;
+        return Schedule::EventFine;
     return schedule_from_name(e);
 }
 
@@ -52,7 +52,7 @@ void
 Shard::prepare_run(Schedule sched, bool track_done)
 {
     ticks_ = 0;
-    event_ = sched == Schedule::EventFine && !tiles_.empty();
+    retire_ = sched == Schedule::EventFine;
     track_done_ = track_done;
     // Same-shard buffers are accessed by this shard's thread only for
     // the whole run: select their unsynchronized fast path. Set here
@@ -64,12 +64,10 @@ Shard::prepare_run(Schedule sched, bool track_done)
     if (tiles_.empty())
         return;
     now_ = tiles_.front()->now();
-    if (!event_)
-        return;
-    // Every tile starts active: the first cycle ticks the whole shard
-    // (exactly like polling) and the idle tiles retire to the wake
-    // heap at its negedge. This avoids trusting any pre-run component
-    // state and makes resumed runs trivially correct.
+    // Every tile and component starts awake: the first cycle ticks the
+    // whole shard and, unless polling, the idle ones retire at its
+    // negedge. This avoids trusting any pre-run component state and
+    // makes resumed runs trivially correct.
     wake_at_.assign(tiles_.size(), 0);
     sleeping_.assign(tiles_.size(), 0);
     done_at_sleep_.assign(tiles_.size(), 0);
@@ -90,11 +88,7 @@ Shard::prepare_run(Schedule sched, bool track_done)
     for (std::size_t i = 0; i < tiles_.size(); ++i) {
         tiles_[i]->set_sched_slot(i);
         tiles_[i]->set_wake_sink(this);
-        // Component-granularity mode: every tile ticks only components
-        // with pending events, except the pinned ones, on which
-        // Tile::set_fine is a no-op (their owned links read neighbour
-        // state every cycle, outside the wake seam).
-        tiles_[i]->set_fine(true);
+        tiles_[i]->wake_all();
     }
 }
 
@@ -109,15 +103,12 @@ Shard::finish_run()
 {
     for (net::VcBuffer *b : local_bufs_)
         b->set_local(false);
-    if (!event_)
-        return;
     for (std::size_t i = 0; i < tiles_.size(); ++i) {
         // Sleeping tiles' clocks lag the shard clock; catch them up so
-        // the tiles are in a consistent post-run state (poll runs,
-        // statistics, and a future engine see one global clock).
+        // the tiles are in a consistent post-run state (statistics and
+        // a future engine see one global clock).
         if (sleeping_[i])
             tiles_[i]->advance_to(now_);
-        tiles_[i]->set_fine(false);
         tiles_[i]->set_wake_sink(nullptr);
     }
     active_.clear();
@@ -127,11 +118,10 @@ Shard::finish_run()
     done_at_sleep_.clear();
     wheel_.reset(now_);
     sleeping_not_done_ = 0;
-    event_ = false;
 }
 
 // ----------------------------------------------------------------------
-// Shard: wake bookkeeping (event mode).
+// Shard: wake bookkeeping.
 // ----------------------------------------------------------------------
 
 void
@@ -243,7 +233,7 @@ Shard::cycle_begin()
     activate_due();
     if (!pending_active_.empty()) {
         // Keep the active set in node-id order so the tick order of
-        // awake tiles matches the polling scheduler exactly. The
+        // awake tiles matches Schedule::Poll's exactly. The
         // newly woken few are sorted and merged rather than re-sorting
         // the whole set.
         auto by_id = [](const Tile *a, const Tile *b) {
@@ -266,7 +256,8 @@ Shard::retire_idle()
 {
     std::size_t w = 0;
     for (Tile *t : active_) {
-        bool keep = t->pinned_awake() || t->busy();
+        t->fine_retire();
+        bool keep = t->busy();
         Cycle nxt = kNoEvent;
         if (!keep) {
             nxt = t->next_event();
@@ -301,11 +292,6 @@ Shard::retire_idle()
 void
 Shard::posedge()
 {
-    if (!event_) {
-        for (Tile *t : tiles_)
-            t->posedge();
-        return;
-    }
     cycle_begin();
     for (Tile *t : active_)
         t->posedge();
@@ -314,31 +300,17 @@ Shard::posedge()
 void
 Shard::negedge()
 {
-    if (!event_) {
-        for (Tile *t : tiles_)
-            t->negedge();
-        ticks_ += tiles_.size();
-        return;
-    }
     for (Tile *t : active_)
         t->negedge();
     ticks_ += active_.size();
     ++now_;
-    retire_idle();
+    if (retire_)
+        retire_idle();
 }
 
 void
 Shard::run_until(Cycle end)
 {
-    if (tiles_.empty())
-        return;
-    if (!event_) {
-        while (now() < end) {
-            posedge();
-            negedge();
-        }
-        return;
-    }
     while (now_ < end) {
         cycle_begin();
         if (active_.empty()) {
@@ -357,11 +329,6 @@ Shard::run_until(Cycle end)
 void
 Shard::advance_to(Cycle c)
 {
-    if (!event_) {
-        for (Tile *t : tiles_)
-            t->advance_to(c);
-        return;
-    }
     for (Tile *t : active_)
         t->advance_to(c);
     if (c > now_)
@@ -375,19 +342,16 @@ Shard::advance_to(Cycle c)
 void
 Shard::prepare_summaries()
 {
-    if (!event_)
-        return;
     cycle_begin();
 }
 
 bool
 Shard::busy() const
 {
-    // Event mode: a sleeping tile is not busy by construction (it
-    // retired idle and every external push since would have woken it
-    // via the drained mailbox), so only the active set is scanned.
-    const std::vector<Tile *> &set = event_ ? active_ : tiles_;
-    for (const Tile *t : set)
+    // A sleeping tile is not busy by construction (it retired idle and
+    // every external push since would have woken it via the drained
+    // mailbox), so only the active set is scanned.
+    for (const Tile *t : active_)
         if (t->busy())
             return true;
     return false;
@@ -396,7 +360,7 @@ Shard::busy() const
 bool
 Shard::done() const
 {
-    if (event_ && track_done_) {
+    if (track_done_) {
         if (sleeping_not_done_ != 0)
             return false;
         for (const Tile *t : active_)
@@ -404,9 +368,9 @@ Shard::done() const
                 return false;
         return true;
     }
-    // Polling — or an untracked event run (possible when a policy
-    // introspects doneness the engine did not announce): fold over
-    // every tile; sleeping tiles answer from their aggregate cache.
+    // An untracked run (possible when a policy introspects doneness
+    // the engine did not announce): fold over every tile; sleeping
+    // tiles answer from their aggregate cache.
     for (const Tile *t : tiles_)
         if (!t->done())
             return false;
@@ -416,14 +380,8 @@ Shard::done() const
 Cycle
 Shard::next_event() const
 {
-    Cycle best = kNoEvent;
-    if (event_) {
-        best = settled_min_wake(); // min wake over sleeping tiles
-        for (const Tile *t : active_)
-            best = std::min(best, t->next_event());
-        return best;
-    }
-    for (const Tile *t : tiles_)
+    Cycle best = settled_min_wake(); // min wake over sleeping tiles
+    for (const Tile *t : active_)
         best = std::min(best, t->next_event());
     return best;
 }
@@ -487,7 +445,6 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
     const unsigned T = static_cast<unsigned>(shards_.size());
     const Schedule sched =
         opts.schedule ? *opts.schedule : env_schedule_default();
-    const Cycle start_cycle = shards_[0]->now();
 
     // Baselines for the per-run component-tick counters: the tiles'
     // comp_cycles_run() totals are lifetime-cumulative, so the run's
@@ -507,8 +464,8 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
     const bool need_done = opts.stop_when_done;
     // stop_when_done also needs next_event: a pending wake (a flit
     // pushed toward a sleeping tile of another shard) shows up there
-    // and must veto completion, since the event scheduler's busy()
-    // does not scan sleeping tiles.
+    // and must veto completion, since a shard's busy() does not scan
+    // sleeping tiles.
     const bool need_next = needs.next_event || opts.stop_when_done;
     const bool need_cross = needs.cross_traffic;
     const bool batching = opts.batch_cross_shard && T > 1;
@@ -526,6 +483,7 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
     // here rather than at worker entry.
     for (auto &s : shards_)
         s->prepare_run(sched, need_done);
+    const Cycle start_cycle = shards_[0]->now();
 
     // One shard's pre-rendezvous summary. Each shard writes its own
     // slot every window; CacheAligned keeps the slots on distinct
@@ -584,8 +542,8 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
         if (opts.stop_when_done && view.all_done && view.all_idle &&
             view.next_event == kNoEvent) {
             // A genuinely finished system schedules nothing: any
-            // remaining next_event is an in-flight wake (event mode)
-            // or a component that will still act, and vetoes the stop.
+            // remaining next_event is an in-flight wake or a component
+            // that will still act, and vetoes the stop.
             sh.stop.store(true, std::memory_order_relaxed);
             return;
         }

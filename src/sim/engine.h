@@ -16,27 +16,29 @@
  * sequential run is simply an Engine with a single shard — there is no
  * separate sequential code path.
  *
- * Each shard runs under one of two schedulers (EngineOptions::
- * schedule, orthogonal to the SyncPolicy):
+ * Each shard has one scheduler. It keeps an *active set* of awake
+ * tiles plus a timing wheel of (wake_cycle, tile) for the sleeping
+ * ones, ticks only the active set, and re-sorts lazily when a wake
+ * moves — O(active) per cycle. Inside each awake tile, idle components
+ * (frontends between injections, routers with no buffered flits) are
+ * skipped individually. Sleeping is sound because ticking an idle tile
+ * or component is a no-op by construction, and pushes into a sleeping
+ * tile's VC buffers wake it through the Tile::notify_activity seam
+ * (docs/ENGINE.md, "Event-driven shards" and "Component-granularity
+ * wakes").
  *
- *  - polling: every tile is ticked every cycle — O(tiles) per cycle.
- *    It is the reference semantics the differential tests compare
- *    against.
- *  - event-fine: the shard keeps an *active set* of awake tiles plus
- *    a timing wheel of (wake_cycle, tile) for the sleeping ones, ticks
- *    only the active set, and re-sorts lazily when a wake moves —
- *    O(active) per cycle. Inside each awake tile, idle components
- *    (frontends between injections, routers with no buffered flits)
- *    are skipped individually. Sleeping is sound because ticking an
- *    idle tile or component is a no-op by construction, and pushes
- *    into a sleeping tile's VC buffers wake it through the
- *    Tile::notify_activity seam (docs/ENGINE.md, "Event-driven
- *    shards" and "Component-granularity wakes").
+ * EngineOptions::schedule (orthogonal to the SyncPolicy) only decides
+ * whether anything sleeps. Schedule::EventFine, the default, retires
+ * idle tiles and components after every negedge. Schedule::Poll is the
+ * same scheduler with retirement switched off: every tile and
+ * component stays awake and is ticked in id order every cycle —
+ * O(tiles) per cycle, the reference semantics the differential tests
+ * compare against.
  *
  * Results are bitwise identical across both for lockstep windows and
  * single-shard runs; loose multi-shard windows keep their own
  * scheduler-independent timing nondeterminism, with the same
- * conservation guarantees under either scheduler (docs/ENGINE.md,
+ * conservation guarantees under either schedule (docs/ENGINE.md,
  * "Event-driven shards").
  */
 #ifndef HORNET_SIM_ENGINE_H
@@ -63,14 +65,15 @@
 namespace hornet::sim {
 
 /**
- * Shard scheduler selection (see the file comment): polling ticks
- * every tile every cycle; event-fine ticks only awake tiles and, inside
- * them, only awake components. Both produce bitwise-identical results
- * for lockstep windows and single-shard runs.
+ * Shard schedule selection (see the file comment): event-fine ticks
+ * only awake tiles and, inside them, only awake components; poll is
+ * its never-sleep mode, ticking every tile every cycle. Both produce
+ * bitwise-identical results for lockstep windows and single-shard
+ * runs.
  */
 enum class Schedule
 {
-    Poll,     ///< tick every tile every cycle (the reference)
+    Poll,     ///< nothing retires: every tile every cycle (the reference)
     EventFine ///< tile- and component-granularity wake scheduling
 };
 
@@ -101,14 +104,14 @@ Schedule schedule_from_name(const std::string &name);
  * the VC buffer's unsynchronized fast path (docs/ENGINE.md,
  * "VcBuffer memory model").
  *
- * Under the event-fine scheduler the shard additionally owns the
- * wake bookkeeping for its tiles: the active set (ticked each cycle,
- * kept in node-id order so tick order matches the polling scheduler),
- * the wake heap for sleeping tiles, and a mailbox for wakes posted by
- * other threads (cross-shard pushes), which is drained at cycle
- * boundaries — the synchronization points where, under lockstep
- * windows, an unbatched push would first become visible, keeping
- * event-driven lockstep runs bitwise identical to sequential ones.
+ * The shard also owns the wake bookkeeping for its tiles: the active
+ * set (ticked each cycle, kept in node-id order so tick order does not
+ * depend on who sleeps), the wake heap for sleeping tiles, and a
+ * mailbox for wakes posted by other threads (cross-shard pushes),
+ * which is drained at cycle boundaries — the synchronization points
+ * where, under lockstep windows, an unbatched push would first become
+ * visible, keeping event-driven lockstep runs bitwise identical to
+ * sequential ones.
  * The mailbox is a bounded lock-free MPSC ring with a mutex-guarded
  * overflow list behind it, so a producer shard posting a wake never
  * blocks on the consumer shard's drain (docs/ENGINE.md, "Wake mailbox
@@ -199,11 +202,11 @@ class Shard final : public Tile::WakeSink
 
     /**
      * Prepare for one engine run: reset the tick counters, initialize
-     * the shard clock from the tiles, and — under Schedule::EventFine —
-     * build the wake schedule (all tiles start active; sleepers peel
-     * off after the first cycle), register this shard as its tiles'
-     * wake sink, and switch every non-pinned tile to
-     * component-granularity scheduling.
+     * the shard clock from the tiles, build the wake schedule with
+     * every tile and component awake, and register this shard as its
+     * tiles' wake sink. Under Schedule::EventFine idle tiles and
+     * components peel off after the first cycle; under Schedule::Poll
+     * nothing ever retires.
      * @p track_done records each tile's done() at sleep time so
      * done() stays O(active); pass it only when the run needs
      * completion detection (it costs a component scan per sleep).
@@ -212,7 +215,7 @@ class Shard final : public Tile::WakeSink
      */
     void prepare_run(Schedule sched, bool track_done = false);
 
-    /** Bind the event scheduler to the executing worker thread (wakes
+    /** Bind the scheduler to the executing worker thread (wakes
      *  from this thread are applied directly; any other thread posts
      *  to the mailbox). Called at worker entry. */
     void bind_thread();
@@ -222,13 +225,10 @@ class Shard final : public Tile::WakeSink
      *  after all worker threads joined. */
     void finish_run();
 
-    /** Local clock (tiles agree at cycle boundaries; sleeping tiles
-     *  lag and are caught up on wake). Undefined on an empty shard. */
-    Cycle
-    now() const
-    {
-        return event_ ? now_ : tiles_.front()->now();
-    }
+    /** Local clock, set from the tiles by prepare_run (tiles agree at
+     *  cycle boundaries; sleeping tiles lag and are caught up on
+     *  wake). */
+    Cycle now() const { return now_; }
 
     // ------------------------------------------------------------------
     // Cycle execution (Engine worker loop).
@@ -238,12 +238,12 @@ class Shard final : public Tile::WakeSink
     void posedge();
 
     /** Negative edge of the current cycle for every scheduled tile
-     *  (advances the clocks; event mode also retires idle tiles to
-     *  the wake heap). */
+     *  (advances the clocks, then — unless polling — retires idle
+     *  components and tiles). */
     void negedge();
 
-    /** Free-run whole cycles until the clock reaches @p end. The
-     *  event scheduler jumps over stretches where every tile sleeps. */
+    /** Free-run whole cycles until the clock reaches @p end, jumping
+     *  over stretches where every tile sleeps. */
     void run_until(Cycle end);
 
     /** Jump every scheduled clock forward to @p c (fast-forward). */
@@ -256,7 +256,7 @@ class Shard final : public Tile::WakeSink
     /**
      * Bring the wake bookkeeping up to date before summary queries:
      * drain the cross-thread wake mailbox and activate tiles whose
-     * wake cycle has been reached. No-op under the polling scheduler.
+     * wake cycle has been reached.
      */
     void prepare_summaries();
 
@@ -277,11 +277,7 @@ class Shard final : public Tile::WakeSink
     std::uint64_t tile_cycles_run() const { return ticks_; }
 
     /** Tiles currently awake (== all tiles under polling). */
-    std::size_t
-    active_tiles() const
-    {
-        return event_ ? active_.size() : tiles_.size();
-    }
+    std::size_t active_tiles() const { return active_.size(); }
 
     /** Tile::WakeSink — tile @p t has work actionable at @p at. */
     void wake(Tile &t, Cycle at) override;
@@ -295,7 +291,7 @@ class Shard final : public Tile::WakeSink
     }
 
   private:
-    // Per-tile scheduling state (event mode only), kept as parallel
+    // Per-tile scheduling state, kept as parallel
     // packed arrays instead of an array-of-structs: the hot consumers
     // — settle_heap's validity test and apply_wake's sleeping check —
     // read only `sleeping` and `wake_at`, so splitting the fields
@@ -325,7 +321,8 @@ class Shard final : public Tile::WakeSink
     /// wheel entries on the way. Logically const (lazy cleanup only),
     /// hence the mutable wheel.
     Cycle settled_min_wake() const;
-    /// Move tiles that went idle at this negedge to the wake wheel.
+    /// Retire idle components inside the active tiles, and move tiles
+    /// that went idle at this negedge to the wake wheel.
     void retire_idle();
     /// Top-of-cycle bookkeeping: drain wakes, activate due sleepers.
     void cycle_begin();
@@ -344,14 +341,15 @@ class Shard final : public Tile::WakeSink
     std::vector<net::VcBuffer *> cross_bufs_;
     std::vector<net::VcBuffer *> local_bufs_;
 
-    // Event-driven scheduling state. This block — the clock, the
-    // active set, the wake wheel's hot head and the tick counter — is
-    // touched by the owning thread every cycle and by nobody else;
-    // the alignas fences it off from the preceding wiring vectors and,
-    // via the mailbox's own alignment below, from everything remote
-    // threads write, so a cross-shard wake post never invalidates the
-    // scheduler's working set.
-    alignas(common::kCacheLineSize) bool event_ = false; ///< EventFine
+    // Scheduling state. This block — the clock, the active set, the
+    // wake wheel's hot head and the tick counter — is touched by the
+    // owning thread every cycle and by nobody else; the alignas fences
+    // it off from the preceding wiring vectors and, via the mailbox's
+    // own alignment below, from everything remote threads write, so a
+    // cross-shard wake post never invalidates the scheduler's working
+    // set.
+    /// Idle tiles and components retire (false: Schedule::Poll).
+    alignas(common::kCacheLineSize) bool retire_ = true;
     bool track_done_ = false;
     Cycle now_ = 0;
     std::vector<Cycle> wake_at_;            ///< see the Slot-split comment
@@ -415,13 +413,13 @@ struct EngineOptions
      */
     bool batch_cross_shard = false;
     /**
-     * Shard scheduler selection (see Schedule). Unset (the default)
+     * Shard schedule selection (see Schedule). Unset (the default)
      * defers to the HORNET_SCHEDULE environment variable ("poll" or
-     * "event-fine"; unset or empty = poll), which is how CI runs the
-     * whole suite under both schedulers. Results are
-     * bitwise identical across schedulers for lockstep windows and
-     * single-shard runs; loose multi-shard windows are
-     * timing-nondeterministic under every scheduler.
+     * "event-fine"; unset or empty = event-fine), which is how CI runs
+     * the whole suite under both schedules. Results are bitwise
+     * identical across schedules for lockstep windows and single-shard
+     * runs; loose multi-shard windows are timing-nondeterministic
+     * under either.
      */
     std::optional<Schedule> schedule;
     /**
@@ -447,15 +445,14 @@ struct EngineRunStats
     /** Tile-cycles *not* ticked: fast-forward jumps plus, under
      *  Schedule::EventFine, cycles individual tiles slept. */
     std::uint64_t tile_cycles_skipped = 0;
-    /** Component-cycles actually ticked (summed over tiles; a coarse
-     *  tile tick counts every component, a fine one only the awake
-     *  ones). */
+    /** Component-cycles actually ticked (summed over tiles; a tile
+     *  tick counts its awake components). */
     std::uint64_t comp_cycles_run = 0;
     /** Component-cycles *not* ticked out of the component x cycle
      *  grid: fast-forward plus, under Schedule::EventFine, tile-level
      *  sleeping and per-component sleeping inside awake tiles. */
     std::uint64_t comp_cycles_skipped = 0;
-    /** True when the run used the event-driven shard scheduler
+    /** True when the run let idle tiles and components sleep
      *  (Schedule::EventFine). */
     bool event_driven = false;
     /** True when worker threads were pinned (pin_threads resolved to

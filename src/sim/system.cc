@@ -85,8 +85,6 @@ System::System(const net::Topology &topo, const net::NetworkConfig &cfg,
     for (NodeId i = 0; i < n; ++i) {
         tiles_[i]->set_router(&network_->router(i));
         network_->router(i).set_flow_stats(&tiles_[i]->flow_stats());
-        for (net::BidirLink *l : network_->links_owned_by(i))
-            tiles_[i]->add_owned_link(l);
     }
 
     // Declare each tile's inter-tile egress buffers: the egress of a
@@ -116,17 +114,6 @@ System::System(const net::Topology &topo, const net::NetworkConfig &cfg,
             r.injection_buffer(v).set_local(true);
         for (VcId v = 0; v < r.num_ejection_vcs(); ++v)
             r.ejection_buffer(v).set_local(true);
-    }
-
-    // A bidirectional-link arbiter reads *both* endpoint routers'
-    // published demand every cycle; that coupling lives outside the
-    // VC-buffer wake seam, so its endpoint tiles are pinned awake
-    // (the event-driven scheduler never sleeps them).
-    for (NodeId a = 0; a < n; ++a) {
-        for (net::BidirLink *l : network_->links_owned_by(a)) {
-            tiles_[l->node_a()]->pin_awake();
-            tiles_[l->node_b()]->pin_awake();
-        }
     }
 }
 

@@ -58,12 +58,12 @@ struct RunOptions
      *  together with the adaptive backend. */
     bool batch_handoff = false;
     /**
-     * Shard scheduler by name: "poll" ticks every tile every cycle,
-     * "event-fine" ticks only awake tiles and, inside them, only
-     * awake components (bitwise identical results for
-     * lockstep/single-shard runs — see EngineOptions::schedule for
+     * Shard schedule by name: "event-fine" ticks only awake tiles and,
+     * inside them, only awake components; "poll" is its never-sleep
+     * mode and ticks every tile every cycle (bitwise identical results
+     * for lockstep/single-shard runs — see EngineOptions::schedule for
      * the loose-window caveat). Left empty, the HORNET_SCHEDULE
-     * environment variable decides (default poll).
+     * environment variable decides (default event-fine).
      */
     std::string schedule;
     /** Also stop as soon as every frontend is done and the network has
@@ -114,7 +114,7 @@ struct SystemLayout
 
 /**
  * Owns the tiles and the network, and runs the simulation. All
- * per-node objects (tiles, routers, links, VC buffers) live in the
+ * per-node objects (tiles, routers, egress ports, VC buffers) live in the
  * per-group construction arenas owned here; everything handed out is
  * a raw pointer into them, valid for the System's lifetime.
  */

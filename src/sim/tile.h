@@ -1,20 +1,21 @@
 /**
  * @file
  * A tile: one clock domain and the Clocked components attached to it —
- * a virtual-channel router, any traffic frontends, the link arbiters
- * it owns — plus a private pseudorandom number generator and the data
- * structures required for collecting statistics (paper II-C).
- * A tile is never split across threads.
+ * a virtual-channel router and any traffic frontends — plus a private
+ * pseudorandom number generator and the data structures required for
+ * collecting statistics (paper II-C). A tile is never split across
+ * threads.
  *
  * The tile ticks its components generically through the Clocked
  * interface; it knows nothing about what the components are. Ordering
  * within an edge is fixed by component kind so that results are
  * reproducible: frontends tick before the router at the positive edge
  * (so their pushes surface next cycle), and the router commits before
- * the frontends, followed by the link arbiters, at the negative edge.
+ * the frontends at the negative edge.
  *
- * For the event-driven scheduler the tile is also the unit of
- * sleeping: it caches its aggregate busy()/next_event()/done() folds
+ * The tile is the shard scheduler's unit of sleeping, and each of its
+ * components sleeps on its own inside it: it ticks only its awake
+ * components, caches its aggregate busy()/next_event()/done() folds
  * (valid until the next tick or wake), and implements Wakeable so that
  * producers pushing into its ingress VC buffers — possibly from
  * another thread — can announce new work via notify_activity(), which
@@ -37,7 +38,6 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "common/wakeable.h"
-#include "net/link.h"
 #include "net/router.h"
 #include "sim/clocked.h"
 #include "sim/frontend.h"
@@ -156,18 +156,6 @@ class Tile : public Wakeable
             wake_sink_->wake_local(*this, at);
     }
 
-    /**
-     * Exclude this tile from event-driven sleeping: it is ticked every
-     * cycle like under the polling scheduler. Set by System for tiles
-     * coupled to state outside the wake seam — the endpoints of
-     * bidirectional-link arbiters, whose bandwidth split depends on
-     * *both* routers' published demand every cycle.
-     */
-    void pin_awake() { pinned_awake_ = true; }
-
-    /** True when the tile must be ticked every cycle (never sleeps). */
-    bool pinned_awake() const { return pinned_awake_; }
-
     /** Scheduler-private slot index (set by the owning Shard). */
     void set_sched_slot(std::size_t slot) { sched_slot_ = slot; }
 
@@ -175,59 +163,40 @@ class Tile : public Wakeable
     std::size_t sched_slot() const { return sched_slot_; }
 
     /**
-     * Enter or leave fine-grain (component-granularity) scheduling
-     * (docs/ENGINE.md, "Component-granularity wakes"). While active,
-     * an awake tile ticks only the components with pending work:
-     * every component keeps a sleeping flag and an absolute wake
-     * cycle, idle components retire after each negedge, and pushes
-     * wake exactly the component that consumes them — the router via
-     * its ingress wake records, the frontends via the tile's ejection
-     * wake record. Both records are wired for the tile's lifetime;
-     * this switch only arms the per-component sleep state. Bitwise
-     * neutral by the wake-seam contract (ticking an idle component is
-     * a no-op). Called serially by the owning Shard's
-     * prepare_run/finish_run; pinned tiles stay coarse (their link
-     * arbiters are coupled to both endpoint routers' demand outside
-     * the wake seam).
+     * Wake every component (docs/ENGINE.md, "Component-granularity
+     * wakes"): each component keeps an awake flag and an absolute wake
+     * cycle, the tile ticks only awake components, idle ones retire
+     * when the scheduler calls fine_retire(), and pushes wake exactly
+     * the component that consumes them — the router via its ingress
+     * wake records, the frontends via the tile's ejection wake record.
+     * Called serially by the owning Shard's prepare_run, so every run
+     * starts with the whole tile awake.
      */
     void
-    set_fine(bool on)
+    wake_all()
     {
-        if (on == fine_)
-            return;
-        if (on && pinned_awake_)
-            return; // pinned tiles tick every component every cycle
-        if (order_dirty_)
-            rebuild_order();
-        if (on) {
-            comp_awake_.assign(negedge_order_.size(), 1);
-            comp_wake_at_.assign(negedge_order_.size(), kNoEvent);
-            ej_pending_ = kNoEvent;
-        } else {
-            comp_awake_.clear();
-            comp_wake_at_.clear();
-        }
-        fine_ = on;
+        rebuild_order(); // sizes the flags with every component awake
+        ej_pending_ = kNoEvent;
     }
 
     /**
      * Lifetime-cumulative count of component ticks actually executed
-     * (both edges of one cycle count once). Under coarse scheduling an
-     * awake tile ticks every component; under fine-grain scheduling
-     * only the awake ones — the engine differences this across a run
-     * to report how many component ticks the scheduler skipped.
+     * (both edges of one cycle count once): only awake components
+     * tick, all of them while nothing retires (Schedule::Poll). The
+     * engine differences this across a run to report how many
+     * component ticks the scheduler skipped.
      */
     std::uint64_t comp_cycles_run() const { return comp_cycles_; }
 
     /** Number of clocked components this tile ticks per cycle
-     *  (router, frontends, owned link arbiters): the denominator of
-     *  the component x cycle grid comp_cycles_run() covers. */
+     *  (router, frontends): the denominator of the component x cycle
+     *  grid comp_cycles_run() covers. */
     std::size_t
     num_components() const
     {
         if (order_dirty_)
             rebuild_order();
-        return negedge_order_.size();
+        return comps_.size();
     }
 
     /**
@@ -271,14 +240,6 @@ class Tile : public Wakeable
     /** This tile's router (nullptr until wired). */
     net::Router *router() { return router_; }
 
-    /** Attach a link arbiter stepped at this tile's negedge. */
-    void
-    add_owned_link(net::BidirLink *l)
-    {
-        owned_links_.push_back(l);
-        order_dirty_ = true;
-    }
-
     /** Attach a traffic frontend (generator/consumer). */
     void
     add_frontend(std::unique_ptr<Frontend> fe)
@@ -317,52 +278,68 @@ class Tile : public Wakeable
         return egress_buffers_;
     }
 
-    /** Positive edge: tick every component in posedge order (under
-     *  fine-grain scheduling, only the awake ones, after applying the
-     *  cycle's pending component wakes). */
+    /** Positive edge: apply the cycle's pending component wakes, then
+     *  tick the awake components in posedge order. */
     void
     posedge()
     {
         if (order_dirty_)
             rebuild_order();
         invalidate_aggregates();
-        if (!fine_) {
-            for (Clocked *c : posedge_order_)
-                c->posedge(now_);
-            return;
-        }
         fine_cycle_begin();
-        for (std::size_t k = 0; k < posedge_order_.size(); ++k)
-            if (comp_awake_[posedge_comp_[k]] != 0)
-                posedge_order_[k]->posedge(now_);
+        for (std::size_t i = fe_base_; i < comps_.size(); ++i)
+            if (comp_awake_[i] != 0)
+                comps_[i]->posedge(now_);
+        if (fe_base_ != 0 && comp_awake_[0] != 0)
+            router_->posedge(now_);
     }
 
-    /** Negative edge: commit every component in negedge order (under
-     *  fine-grain scheduling, only the awake ones), advance the clock,
-     *  then retire components that went idle. */
+    /** Negative edge: commit the awake components in negedge order,
+     *  then advance the clock. */
     void
     negedge()
     {
         if (order_dirty_)
             rebuild_order();
         invalidate_aggregates();
-        if (!fine_) {
-            for (Clocked *c : negedge_order_)
-                c->negedge(now_);
-            comp_cycles_ += negedge_order_.size();
-            ++now_;
-            return;
-        }
         std::uint64_t awake = 0;
-        for (std::size_t i = 0; i < negedge_order_.size(); ++i) {
+        for (std::size_t i = 0; i < comps_.size(); ++i) {
             if (comp_awake_[i] != 0) {
-                negedge_order_[i]->negedge(now_);
+                comps_[i]->negedge(now_);
                 ++awake;
             }
         }
         comp_cycles_ += awake;
         ++now_;
-        fine_retire();
+    }
+
+    /**
+     * End-of-cycle component retire (the scheduler calls it after the
+     * negedge, so the clock has already advanced): put idle components
+     * to sleep until their next self-scheduled event. Frontends stay
+     * awake while ejection buffers hold flits — a bridge may report
+     * idle with undrained deliveries pending, and sleeping it would
+     * strand them.
+     */
+    void
+    fine_retire()
+    {
+        const bool ej =
+            router_ != nullptr && router_->has_ejection_flits();
+        for (std::size_t i = 0; i < comps_.size(); ++i) {
+            if (comp_awake_[i] == 0)
+                continue;
+            if (i >= fe_base_ && ej)
+                continue;
+            const Clocked *c = comps_[i];
+            if (!c->idle(now_))
+                continue;
+            const Cycle nxt = c->next_event(now_);
+            if (nxt <= now_)
+                continue;
+            comp_awake_[i] = 0;
+            comp_wake_at_[i] = nxt;
+        }
     }
 
     /**
@@ -380,7 +357,7 @@ class Tile : public Wakeable
         if (order_dirty_)
             rebuild_order();
         bool b = false;
-        for (const Clocked *c : negedge_order_) {
+        for (const Clocked *c : comps_) {
             if (!c->idle(now_)) {
                 b = true;
                 break;
@@ -402,7 +379,7 @@ class Tile : public Wakeable
         if (order_dirty_)
             rebuild_order();
         Cycle best = kNoEvent;
-        for (const Clocked *c : negedge_order_) {
+        for (const Clocked *c : comps_) {
             Cycle e = c->next_event(now_);
             if (e < best)
                 best = e;
@@ -427,11 +404,11 @@ class Tile : public Wakeable
      * System::reset_for_rerun). Rewinds the clock, reseeds the PRNG as
      * the constructor would from @p seed, clears statistics, and drops
      * the frontends (the next run attaches its own). The wiring —
-     * router, owned links, egress-buffer registry, pin_awake — is
-     * construction-time state and survives; comp_cycles_run() is
-     * lifetime-cumulative by contract and keeps counting. The caller
-     * must have verified the network is drained (a fresh tile holds no
-     * flits). Must not be called while an engine run is active.
+     * router and egress-buffer registry — is construction-time state
+     * and survives; comp_cycles_run() is lifetime-cumulative by
+     * contract and keeps counting. The caller must have verified the
+     * network is drained (a fresh tile holds no flits). Must not be
+     * called while an engine run is active.
      */
     void
     reset_for_rerun(std::uint64_t seed)
@@ -455,7 +432,7 @@ class Tile : public Wakeable
         if (order_dirty_)
             rebuild_order();
         bool d = true;
-        for (const Clocked *c : negedge_order_) {
+        for (const Clocked *c : comps_) {
             if (!c->done(now_)) {
                 d = false;
                 break;
@@ -468,52 +445,32 @@ class Tile : public Wakeable
 
   private:
     /**
-     * Derive the per-edge tick orders from the attached components.
-     * posedge: frontends, then router (injections become visible to
-     * the router the following cycle). negedge: router (commit pops),
-     * then frontends, then link arbiters. The negedge order contains
-     * every component exactly once and doubles as the iteration set
-     * for the aggregate queries.
+     * Derive the component list from the attached components, every
+     * component awake. The negedge order is the router (commit pops),
+     * then the frontends; the posedge ticks the frontends first, then
+     * the router (injections become visible to the router the
+     * following cycle). The list contains every component exactly once
+     * and doubles as the iteration set for the aggregate queries.
      */
     void
     rebuild_order() const
     {
-        posedge_order_.clear();
-        negedge_order_.clear();
-        comp_kind_.clear();
-        for (const auto &fe : frontends_)
-            posedge_order_.push_back(fe.get());
-        if (router_ != nullptr) {
-            posedge_order_.push_back(router_);
-            negedge_order_.push_back(router_);
-            comp_kind_.push_back(kCompRouter);
-        }
-        for (const auto &fe : frontends_) {
-            negedge_order_.push_back(fe.get());
-            comp_kind_.push_back(kCompFrontend);
-        }
-        for (auto *l : owned_links_) {
-            negedge_order_.push_back(l);
-            comp_kind_.push_back(kCompLink);
-        }
-        // Map each posedge position to its component's negedge index
-        // (the canonical index of the fine-grain state arrays):
-        // frontends follow the router in negedge order, the router —
-        // last at the posedge — is index 0.
-        posedge_comp_.clear();
-        const std::size_t fe_base = router_ != nullptr ? 1 : 0;
-        for (std::size_t i = 0; i < frontends_.size(); ++i)
-            posedge_comp_.push_back(fe_base + i);
+        comps_.clear();
         if (router_ != nullptr)
-            posedge_comp_.push_back(0);
+            comps_.push_back(router_);
+        fe_base_ = comps_.size();
+        for (const auto &fe : frontends_)
+            comps_.push_back(fe.get());
+        comp_awake_.assign(comps_.size(), 1);
+        comp_wake_at_.assign(comps_.size(), kNoEvent);
         order_dirty_ = false;
     }
 
     /**
-     * Start-of-cycle wake application (fine-grain mode): fold the
-     * router's pending ingress arrivals and the pending ejection wake
-     * into the component wake cycles, then wake every component whose
-     * wake cycle is due. Pending wakes for a component that is already
+     * Start-of-cycle wake application: fold the router's pending
+     * ingress arrivals and the pending ejection wake into the
+     * component wake cycles, then wake every component whose wake
+     * cycle is due. Pending wakes for a component that is already
      * awake are dropped — an awake router drains its buffers anyway
      * and cannot retire while they hold flits, so nothing is lost.
      */
@@ -527,51 +484,17 @@ class Tile : public Wakeable
                 comp_wake_at_[0] = p;
         }
         if (ej_pending_ != kNoEvent) {
-            for (std::size_t i = 0; i < negedge_order_.size(); ++i) {
-                if (comp_kind_[i] == kCompFrontend &&
-                    comp_awake_[i] == 0 &&
-                    ej_pending_ < comp_wake_at_[i])
+            for (std::size_t i = fe_base_; i < comps_.size(); ++i) {
+                if (comp_awake_[i] == 0 && ej_pending_ < comp_wake_at_[i])
                     comp_wake_at_[i] = ej_pending_;
             }
             ej_pending_ = kNoEvent;
         }
-        for (std::size_t i = 0; i < negedge_order_.size(); ++i) {
+        for (std::size_t i = 0; i < comps_.size(); ++i) {
             if (comp_awake_[i] == 0 && comp_wake_at_[i] <= now_) {
                 comp_awake_[i] = 1;
                 comp_wake_at_[i] = kNoEvent;
             }
-        }
-    }
-
-    /**
-     * End-of-cycle component retire (fine-grain mode; the clock has
-     * already advanced): put idle components to sleep until their next
-     * self-scheduled event. Link arbiters never retire (their output
-     * depends on both routers' demand, outside the wake seam), and
-     * frontends stay awake while ejection buffers hold flits — a
-     * bridge may report idle with undrained deliveries pending, and
-     * sleeping it would strand them.
-     */
-    void
-    fine_retire()
-    {
-        const bool ej =
-            router_ != nullptr && router_->has_ejection_flits();
-        for (std::size_t i = 0; i < negedge_order_.size(); ++i) {
-            if (comp_awake_[i] == 0)
-                continue;
-            if (comp_kind_[i] == kCompLink)
-                continue;
-            if (comp_kind_[i] == kCompFrontend && ej)
-                continue;
-            const Clocked *c = negedge_order_[i];
-            if (!c->idle(now_))
-                continue;
-            const Cycle nxt = c->next_event(now_);
-            if (nxt <= now_)
-                continue;
-            comp_awake_[i] = 0;
-            comp_wake_at_[i] = nxt;
         }
     }
 
@@ -581,10 +504,11 @@ class Tile : public Wakeable
     common::FlowStatsTable flow_stats_;
     net::Router *router_ = nullptr;
     std::vector<std::pair<NodeId, net::VcBuffer *>> egress_buffers_;
-    std::vector<net::BidirLink *> owned_links_;
     std::vector<std::unique_ptr<Frontend>> frontends_;
-    mutable std::vector<Clocked *> posedge_order_;
-    mutable std::vector<Clocked *> negedge_order_;
+    /// Components in negedge order: the router (if any), then the
+    /// frontends from index fe_base_ on (rebuild_order).
+    mutable std::vector<Clocked *> comps_;
+    mutable std::size_t fe_base_ = 0;
     mutable bool order_dirty_ = true;
     Cycle now_ = 0;
 
@@ -609,19 +533,17 @@ class Tile : public Wakeable
     mutable bool done_cache_ = false;
 
     WakeSink *wake_sink_ = nullptr;
-    bool pinned_awake_ = false;
     std::size_t sched_slot_ = 0;
 
-    // ---------------- fine-grain scheduling state -------------------
+    // ---------------- component scheduling state --------------------
 
     /**
      * Wake target of the router's ejection buffers (installed by
      * set_router): the router delivers to the CPU port on the owning
      * thread, so a plain min-fold of the arrival cycle is enough; the
-     * pending value wakes every frontend at the next fine-grain cycle
+     * pending value wakes every sleeping frontend at the next cycle
      * begin (conservative — waking a frontend with nothing to drain
-     * is a no-op by the wake-seam contract). Outside fine-grain mode
-     * the fold is never read; set_fine(true) clears it.
+     * is a no-op by the wake-seam contract); wake_all() clears it.
      */
     struct EjectionWake final : Wakeable
     {
@@ -639,25 +561,12 @@ class Tile : public Wakeable
         void notify_local(Cycle at) override { notify_activity(at); }
     };
 
-    /// Component kinds, indexed like negedge_order_ (fine-grain
-    /// scheduling treats the kinds differently at retire time).
-    enum : std::uint8_t
-    {
-        kCompRouter = 0,
-        kCompFrontend = 1,
-        kCompLink = 2
-    };
-
-    bool fine_ = false; ///< component-granularity mode active
-    /// Awake flag per component, indexed like negedge_order_.
-    std::vector<std::uint8_t> comp_awake_;
+    /// Awake flag per component, indexed like comps_ (sized by
+    /// rebuild_order, every component awake).
+    mutable std::vector<std::uint8_t> comp_awake_;
     /// Absolute wake cycle per sleeping component (kNoEvent: external
-    /// wakes only), indexed like negedge_order_.
-    std::vector<Cycle> comp_wake_at_;
-    /// Component kind per negedge_order_ index (rebuild_order).
-    mutable std::vector<std::uint8_t> comp_kind_;
-    /// posedge_order_ position -> negedge_order_ index (rebuild_order).
-    mutable std::vector<std::size_t> posedge_comp_;
+    /// wakes only), indexed like comps_.
+    mutable std::vector<Cycle> comp_wake_at_;
     /// Earliest undrained ejection arrival (owner thread; kNoEvent
     /// when none). Folded into the frontends' wake cycles at the next
     /// cycle begin.

@@ -51,10 +51,10 @@
  *          cycle-accurate when sync_period is 1, periodic otherwise)
  *   sync_period = <int> (1)        fast_forward = <bool> (false)
  *   schedule = auto | poll | event-fine (auto: defer to the
- *          HORNET_SCHEDULE environment variable, default poll;
+ *          HORNET_SCHEDULE environment variable, default event-fine;
  *          event-fine ticks only awake tiles, and inside them only
- *          awake components — bitwise identical to poll for
- *          lockstep/single-shard runs)
+ *          awake components; poll never sleeps anything — bitwise
+ *          identical to event-fine for lockstep/single-shard runs)
  *   stop_when_done = <bool> (false)
  *   batch_handoff = <bool> (true iff sync = adaptive)
  *   adaptive_min_period = <int> (1)

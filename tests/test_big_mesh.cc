@@ -3,8 +3,9 @@
  * Giant-mesh coverage for the arena-backed layout (ISSUE 6): a 64x64
  * mesh constructs and runs under both shard schedulers, placement
  * grouping never changes results (it only moves objects), the 32x32
- * poll/event-fine legs stay bitwise identical, and the arena footprint is
- * observable — and bounded — through SystemStats.
+ * poll/event-fine legs stay bitwise identical (bidirectional links
+ * included), and the arena footprint is observable — and bounded —
+ * through SystemStats.
  *
  * Every system here uses the shuffle pattern: flow tables are built
  * per source-destination pair, so all-pairs traffic ("uniform") is
@@ -48,18 +49,28 @@ TEST(BigMesh, Mesh32SchedulersBitwiseIdentical)
 {
     // Single-shard event-driven scheduling carries the paper's
     // determinism contract to giant meshes: the full per-tile /
-    // per-flow fingerprint must match the polling leg exactly.
-    std::string snaps[2];
-    int i = 0;
-    for (const char *sched : {"poll", "event-fine"}) {
-        auto sys = make_big_mesh(32, 0.05, /*seed=*/23);
-        sim::RunOptions ro;
-        ro.max_cycles = 400;
-        ro.schedule = sched;
-        sys->run(ro);
-        snaps[i++] = testutil::snapshot(sys->collect_stats());
+    // per-flow fingerprint must match the polling leg exactly, with
+    // unidirectional and with bidirectional links — and event-fine
+    // must still sleep tiles when every tile is a link endpoint.
+    for (bool bidir : {false, true}) {
+        SCOPED_TRACE(bidir ? "bidirectional" : "unidirectional");
+        net::NetworkConfig cfg;
+        cfg.bidirectional_links = bidir;
+        std::string snaps[2];
+        int i = 0;
+        for (const char *sched : {"poll", "event-fine"}) {
+            auto sys = make_big_mesh(32, 0.05, /*seed=*/23, {}, cfg);
+            sim::RunOptions ro;
+            ro.max_cycles = 400;
+            ro.schedule = sched;
+            sys->run(ro);
+            snaps[i++] = testutil::snapshot(sys->collect_stats());
+            if (std::string(sched) == "event-fine")
+                EXPECT_GT(sys->last_engine_stats().tile_cycles_skipped,
+                          0u);
+        }
+        EXPECT_EQ(snaps[0], snaps[1]);
     }
-    EXPECT_EQ(snaps[0], snaps[1]);
 }
 
 TEST(BigMesh, PlacementGroupsNeverChangeResults)

@@ -13,15 +13,14 @@
  *  - lockstep policies (cycle-accurate, period-1 periodic, adaptive
  *    pinned to one-cycle windows, and fast-forward around any of
  *    those) are bitwise at every thread count, bidirectional links
- *    included: link arbitration reads only posedge-published
- *    snapshots (demand and free space), fixed by the inter-phase
- *    barrier, so no negedge-phase race remains (ROADMAP determinism
- *    corner (a), fixed);
+ *    included: a pooled port's bandwidth split reads only the demand
+ *    words both link ends published in the previous cycle, which the
+ *    barriers between cycles fix;
  *  - loose multi-shard windows are thread-timing dependent, so those
  *    configurations assert conservation (every injected flit
  *    delivered after the sources stop) instead of bitwise equality,
  *    and only on deadlock-free XY mesh routes where a full drain is
- *    guaranteed.
+ *    guaranteed, bidirectional links included.
  *
  * The full sweep (>= 200 configurations) runs as the `long`-labelled
  * ctest case (HORNET_DIFF_FULL=1); the default registration runs a
@@ -98,9 +97,7 @@ struct DiffConfig
     }
 
     /** Multi-thread runs are bitwise under lockstep windows —
-     *  bidirectional links included, now that link arbitration reads
-     *  only posedge-published phase-stable snapshots (see the file
-     *  comment). */
+     *  bidirectional links included (see the file comment). */
     bool
     thread_bitwise() const
     {
@@ -110,16 +107,13 @@ struct DiffConfig
     /** Loose runs assert a full drain: only deadlock-free XY mesh
      *  routes guarantee one. EDVCA is excluded — its exclusive
      *  per-flow VC ownership can strand packets under loose windows'
-     *  sync error, and so can bidirectional-link arbitration reading
-     *  remote demand across desynchronized shards (both observed
-     *  under every scheduler, poll included; ROADMAP "Loose-window
-     *  liveness"). */
+     *  sync error (observed under every scheduler, poll included;
+     *  docs/ENGINE.md "Event-driven shards"). */
     bool
     drain_safe() const
     {
         return !ring && std::strcmp(routing, "xy") == 0 &&
-               net.router.vca_mode != net::VcaMode::Edvca &&
-               !net.bidirectional_links;
+               net.router.vca_mode != net::VcaMode::Edvca;
     }
 
     std::string
@@ -432,6 +426,44 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
     // The generator must keep exercising the bitwise multi-thread
     // path, not just loose conservation runs.
     EXPECT_GT(lockstep_configs, n / 4);
+}
+
+TEST(Differential, LooseBidirectionalLinksConserveFlits)
+{
+    // Under loose windows the two ends of a pooled link read each
+    // other's demand words across desynchronized shards, so their
+    // splits may disagree for a while; that may cost accuracy, never a
+    // flit. Sources stop early and the run waits for the drain.
+    for (const char *pattern : {"uniform", "shuffle"}) {
+        DiffConfig c;
+        c.w = c.h = 8;
+        c.pattern = pattern;
+        c.net.bidirectional_links = true;
+        c.rate = 0.2;
+        c.stop_at = 400;
+        for (std::uint32_t period : {5u, 14u})
+            for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
+                for (unsigned threads : {2u, 4u}) {
+                    SCOPED_TRACE(std::string(pattern) + " period=" +
+                                 std::to_string(period) + " sched=" +
+                                 std::to_string(static_cast<int>(sched)) +
+                                 " threads=" + std::to_string(threads));
+                    auto sys = build_system(c);
+                    sim::PeriodicSync policy(period);
+                    EngineOptions opts;
+                    opts.max_cycles = 20000;
+                    opts.stop_when_done = true;
+                    opts.schedule = sched;
+                    sys->run(policy, opts, threads);
+                    expect_masks_cover_buffers(*sys);
+                    const SystemStats s = sys->collect_stats();
+                    EXPECT_GT(s.total.packets_injected, 0u);
+                    EXPECT_EQ(s.total.flits_delivered,
+                              s.total.flits_injected);
+                    EXPECT_EQ(s.total.packets_delivered,
+                              s.total.packets_injected);
+                }
+    }
 }
 
 /** Build + run a config-schema system (the config_run path) under one

@@ -182,6 +182,55 @@ TEST(JobEngine, ReuseIsBitwiseNeutral)
               stats_fingerprint(scratch_run(21, ro, stop_at)));
 }
 
+TEST(JobEngine, BidirectionalRerunMatchesFreshSystem)
+{
+    // A rerun restarts the clock at 0, so the demand words that pooled
+    // (bidirectional) ports published in the first run carry cycle
+    // stamps the rerun reaches again. reset_for_rerun must leave none
+    // of them readable: a reset-and-rerun System equals a fresh one,
+    // under both schedules, across shards. The first run is a short
+    // burst whose last words fall where the rerun's traffic is live.
+    const net::Topology topo = net::Topology::mesh2d(kSide, kSide);
+    net::NetworkConfig cfg;
+    cfg.bidirectional_links = true;
+    const auto pattern =
+        traffic::pattern_by_name("uniform", topo.num_nodes());
+    const auto flows = traffic::flows_all_pairs(topo.num_nodes());
+    auto attach = [&](sim::System &sys, double rate, Cycle stop_at) {
+        for (NodeId n = 0; n < sys.num_tiles(); ++n) {
+            traffic::SyntheticConfig sc;
+            sc.pattern = pattern;
+            sc.packet_size = 4;
+            sc.rate = rate;
+            sc.stop_at = stop_at;
+            sys.add_frontend(n, std::make_unique<traffic::SyntheticInjector>(
+                                    sys.tile(n), sc));
+        }
+    };
+    auto build = [&](std::uint64_t seed) {
+        auto sys = std::make_unique<sim::System>(topo, cfg, seed);
+        net::routing::build_xy(sys->network(), flows);
+        return sys;
+    };
+    for (const char *sched : {"poll", "event-fine"}) {
+        sim::RunOptions ro = run_opts(sched, 2, /*max_cycles=*/5000);
+        ro.stop_when_done = true; // drained, so eligible for reuse
+        auto fresh = build(21);
+        attach(*fresh, 0.15, 300);
+        fresh->run(ro);
+        const std::string ref = testutil::snapshot(fresh->collect_stats());
+
+        auto reused = build(99);
+        attach(*reused, 0.3, 60);
+        reused->run(ro);
+        ASSERT_TRUE(reused->reset_for_rerun(21)) << sched;
+        attach(*reused, 0.15, 300);
+        reused->run(ro);
+        EXPECT_EQ(testutil::snapshot(reused->collect_stats()), ref)
+            << "schedule=" << sched;
+    }
+}
+
 TEST(JobEngine, UndrainedSystemFallsBackToFreshInstantiation)
 {
     // max_cycles cuts the run mid-traffic: the cached System still

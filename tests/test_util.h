@@ -51,16 +51,16 @@ make_mesh_system(std::uint32_t side, double rate, std::uint64_t seed,
     return sys;
 }
 
-/** side x side shuffle mesh with one injector per node and an explicit
- *  memory layout. Giant-mesh suites use the shuffle pattern because
+/** side x side shuffle mesh with one injector per node, an explicit
+ *  memory layout and network configuration. Giant-mesh suites use the shuffle pattern because
  *  flow tables are built per source-destination pair: all-pairs
  *  traffic would make construction quadratic in nodes. */
 inline std::unique_ptr<sim::System>
 make_big_mesh(std::uint32_t side, double rate, std::uint64_t seed,
-              const sim::SystemLayout &layout = {})
+              const sim::SystemLayout &layout = {},
+              const net::NetworkConfig &cfg = {})
 {
     net::Topology topo = net::Topology::mesh2d(side, side);
-    net::NetworkConfig cfg;
     auto sys = std::make_unique<sim::System>(topo, cfg, seed, layout);
     auto pattern =
         traffic::pattern_by_name("shuffle", topo.num_nodes());
