@@ -221,13 +221,15 @@ echo "== ctest (full differential sweep, label 'long') =="
 
 # Giant-mesh smoke: a 64x64 (4096-tile) system must construct into the
 # per-group arenas and run under both shard schedulers with matching
-# results (docs/ENGINE.md, "Memory layout"), and a 32x32 one must stay
+# results (docs/ENGINE.md, "Memory layout"), a 32x32 one must stay
 # bitwise identical across them, bidirectional links included, while
-# event-fine sleeps tiles. Named so a failure at this scale is
+# event-fine sleeps tiles, and 32x32 all-pairs XY must build, freeze
+# and run on destination-keyed tables (2,095,104 entries, under
+# 512 KiB of arena per tile). Named so a failure at this scale is
 # unmistakable in the log.
-echo "== giant-mesh smoke (64x64 arena layout, 32x32 bitwise + bidirectional, both schedulers) =="
+echo "== giant-mesh smoke (64x64 arena layout, 32x32 bitwise + bidirectional, both schedulers, 32x32 all-pairs XY tables) =="
 ./build/test_big_mesh \
-    --gtest_filter='BigMesh.Mesh64*:BigMesh.Mesh32SchedulersBitwiseIdentical'
+    --gtest_filter='BigMesh.Mesh64*:BigMesh.Mesh32SchedulersBitwiseIdentical:BigMesh.Mesh32AllPairsXyTables'
 
 # Sweep-engine smoke: the backend-comparison example submits its
 # backend x seed grid through sim::JobEngine (blueprint-shared frozen

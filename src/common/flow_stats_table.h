@@ -7,13 +7,16 @@
  * `std::unordered_map<FlowId, FlowStats>` that grew — and rehashed —
  * while the simulation ran, on the delivered-flit hot path. But the
  * set of flows a tile can deliver is known once the routing tables are
- * built: it is exactly the original flows of the tile's delivery
- * entries. FlowStatsTable freezes that set into a FlowId -> slot index
- * (a single-probe common::FlatTable) plus a dense FlowStats array
- * carved from the tile's placement-group arena, so the hot path is one
- * probe and an array index, with no run-time growth. Flows first seen
- * mid-run (trace or bridge traffic routed outside the frozen tables)
- * fall back to an overflow map, preserving exact behaviour.
+ * built: it is the flows the routing builders registered with the
+ * tile's node as destination (net::Network::deliverable_flows).
+ * FlowStatsTable freezes that set into a FlowId -> slot index (a
+ * single-probe common::FlatTable) plus a dense FlowStats array carved
+ * from the tile's placement-group arena, so the hot path is one probe
+ * and an array index, with no run-time growth. Flows first seen mid-run
+ * fall back to an overflow map, preserving exact behaviour: trace or
+ * bridge traffic routed outside the frozen tables, and flows whose
+ * routes were installed by hand (install_single_phase_path,
+ * RoutingTable::add) rather than by a builder.
  *
  * A flow lives in the dense array XOR the overflow map — never both —
  * and iteration visits only flows with at least one delivered flit, so

@@ -41,7 +41,8 @@ struct Flit
     PacketId packet = 0;
     /** Source node (statistics only; routing is table-driven). */
     NodeId src = kInvalidNode;
-    /** Final destination node (statistics only). */
+    /** Final destination node: the routing key of destination
+     *  entries (RoutingTable::route), so every frontend must set it. */
     NodeId dst = kInvalidNode;
     /** Index of this flit within its packet (0 = head). */
     std::uint32_t seq = 0;

@@ -54,6 +54,7 @@ Network::Network(const Topology &topo, const NetworkConfig &cfg,
     RouterConfig switch_rc = cfg_.router;
     switch_rc.cpu_vcs = 0;
     routers_.assign(n, nullptr);
+    deliverable_.resize(n);
     common::for_each_group(pl, [&](unsigned g) {
         const auto [first, last] = group_range(g);
         for (NodeId i = first; i < last; ++i) {
@@ -88,6 +89,17 @@ Network::Network(const Topology &topo, const NetworkConfig &cfg,
             }
         }
     });
+}
+
+void
+Network::register_flows(const std::vector<FlowSpec> &flows)
+{
+    for (const FlowSpec &f : flows) {
+        if (f.src >= num_nodes() || f.dst >= num_nodes())
+            fatal(strcat("flow ", f.id, ": endpoint ", f.src, " -> ", f.dst,
+                         " outside the ", num_nodes(), "-node network"));
+        deliverable_[f.dst].push_back(f.id);
+    }
 }
 
 bool

@@ -16,6 +16,7 @@
 #include "common/placement.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "net/flow.h"
 #include "net/router.h"
 #include "net/topology.h"
 
@@ -74,6 +75,28 @@ class Network
     /** Total flits physically buffered anywhere (fast-forward test). */
     bool has_buffered_flits() const;
 
+    /**
+     * Record @p flows as routed on this network: each flow id joins
+     * the deliverable set of its destination. Every routing builder
+     * registers the flows it installs; registering a flow twice is
+     * harmless. Construction time only (not thread-safe); fatal() on
+     * an endpoint outside the network.
+     */
+    void register_flows(const std::vector<FlowSpec> &flows);
+
+    /**
+     * Ids of the flows registered with destination @p n, in
+     * registration order (repeats possible): the flows the tile of
+     * @p n can deliver, which sim::System::freeze_tables() freezes
+     * into its flow-stats index. Read-only after construction, so any
+     * thread may read it while placement groups freeze in parallel.
+     */
+    const std::vector<FlowId> &
+    deliverable_flows(NodeId n) const
+    {
+        return deliverable_.at(n);
+    }
+
   private:
     Topology topo_;
     NetworkConfig cfg_;
@@ -81,6 +104,8 @@ class Network
     /// below live in it (or in the caller's arenas).
     std::unique_ptr<common::Arena> own_arena_;
     std::vector<Router *> routers_;
+    /// Registered flow ids by destination (register_flows).
+    std::vector<std::vector<FlowId>> deliverable_;
 };
 
 } // namespace hornet::net

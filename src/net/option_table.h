@@ -164,6 +164,13 @@ class OptionTable
     /** True once freeze() (or adopt()) has run. */
     bool frozen() const { return flat_.built(); }
 
+    /** Heap bytes the build records hold until freeze() frees them. */
+    std::size_t
+    record_bytes() const
+    {
+        return records_.capacity() * sizeof(Record);
+    }
+
     /** One-line state/size/probe diagnostics for panic messages. */
     std::string
     describe() const

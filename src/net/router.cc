@@ -237,38 +237,37 @@ Router::egress_free_space(PortId port) const
     return total;
 }
 
+PortId
+Router::egress_port_to(NodeId next) const
+{
+    if (next == id_)
+        return cpu_port();
+    for (std::uint32_t q = 0; q < num_net_ports_; ++q)
+        if (egress_[q]->next_node == next)
+            return q;
+    panic(strcat("router ", id_, ": route to non-neighbor ", next, " (",
+                 table_.describe(), ")"));
+}
+
 void
 Router::do_route_compute(IngressPort &ip, VcState &st, const Flit &f)
 {
-    // One probe serves both the option scan and the weighted pick
-    // below (pick_from).
-    const auto *opts = table_.lookup({ip.prev_node, f.flow});
-    if (opts == nullptr || opts->empty()) {
-        panic(strcat("router ", id_, ": no route for flow ", f.flow,
-                     " from prev ", ip.prev_node, " (",
-                     table_.describe(), ")"));
-    }
+    // One route() serves both the option scan and the weighted pick
+    // below (pick_from). Destination entries keep the flit's flow.
+    const auto &opts = table_.route(ip.prev_node, f.flow, f.dst);
 
     const RouteResult *chosen = nullptr;
-    if (cfg_.adaptive_routing && opts->size() > 1) {
+    if (cfg_.adaptive_routing && opts.size() > 1) {
         // Adaptive: among the table's candidates pick the next hop with
-        // the most downstream credit; ties broken randomly.
+        // the most downstream credit; ties broken randomly. Each
+        // option's credit is read once: under loose sync another
+        // shard's commit can raise it while this scan runs.
         std::uint32_t best = 0;
-        std::vector<const RouteResult *> maxima;
-        for (const auto &o : *opts) {
-            PortId p = o.next_node == id_ ? cpu_port() : kInvalidPort;
-            if (p == kInvalidPort) {
-                for (std::uint32_t q = 0; q < num_net_ports_; ++q) {
-                    if (egress_[q]->next_node == o.next_node) {
-                        p = q;
-                        break;
-                    }
-                }
-            }
-            if (p == kInvalidPort)
-                panic(strcat("router ", id_, ": route to non-neighbor ",
-                             o.next_node));
-            std::uint32_t space = egress_free_space(p);
+        auto &maxima = scratch_maxima_;
+        maxima.clear();
+        for (const auto &o : opts) {
+            const std::uint32_t space =
+                egress_free_space(egress_port_to(o.next_node));
             if (maxima.empty() || space > best) {
                 best = space;
                 maxima.clear();
@@ -277,29 +276,16 @@ Router::do_route_compute(IngressPort &ip, VcState &st, const Flit &f)
                 maxima.push_back(&o);
             }
         }
-        chosen = maxima.size() == 1
-                     ? maxima.front()
-                     : maxima[rng_->below(maxima.size())];
+        chosen = maxima.size() == 1 ? maxima.front()
+                                    : maxima[rng_->below(maxima.size())];
     } else {
-        chosen = &table_.pick_from(*opts, *rng_);
+        chosen = &table_.pick_from(opts, *rng_);
     }
 
     st.next_node = chosen->next_node;
-    st.next_flow = chosen->next_flow;
-    if (chosen->next_node == id_) {
-        st.out_port = cpu_port();
-    } else {
-        st.out_port = kInvalidPort;
-        for (std::uint32_t q = 0; q < num_net_ports_; ++q) {
-            if (egress_[q]->next_node == chosen->next_node) {
-                st.out_port = q;
-                break;
-            }
-        }
-        if (st.out_port == kInvalidPort)
-            panic(strcat("router ", id_, ": route to non-neighbor ",
-                         chosen->next_node, " (", table_.describe(), ")"));
-    }
+    st.next_flow =
+        chosen->next_flow == kKeepFlow ? f.flow : chosen->next_flow;
+    st.out_port = egress_port_to(chosen->next_node);
     st.route_valid = true;
 }
 

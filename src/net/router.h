@@ -477,6 +477,10 @@ class Router : public sim::Clocked
         }
     }
 
+    /** Egress port toward @p next (the CPU port for this node itself);
+     *  panics when @p next is not a neighbour. */
+    PortId egress_port_to(NodeId next) const;
+
     void do_route_compute(IngressPort &ip, VcState &st, const Flit &f);
     bool try_vc_allocate(IngressPort &ip, VcState &st, const Flit &f,
                          Cycle now);
@@ -588,6 +592,8 @@ class Router : public sim::Clocked
 
     /** Scratch vectors reused across cycles to avoid allocation. */
     std::vector<std::pair<PortId, VcId>> scratch_candidates_;
+    /// Adaptive route compute's most-credit options (do_route_compute).
+    std::vector<const RouteResult *> scratch_maxima_;
     std::vector<VcId> scratch_vcs_;
     // Stage-B scratch, hoisted out of posedge() (it used to heap-
     // allocate four vectors per tick, on every scheduler).

@@ -38,15 +38,38 @@ install_single_phase_path(Network &net, const std::vector<NodeId> &path,
 void
 build_xy(Network &net, const std::vector<FlowSpec> &flows)
 {
-    for (const auto &f : flows) {
-        install_single_phase_path(
-            net, xy_path(net.topology(), f.src, f.dst), f.id, 0, 1.0);
-    }
+    const Topology &topo = net.topology();
+    if (!flows.empty() && (!topo.is_mesh_like() || topo.layers() != 1))
+        fatal("XY builder requires a 2D mesh topology");
+    net.register_flows(flows);
+    DestinationGroups groups(topo, flows);
+    groups.for_each([&](NodeId dst, const FlowSpec &f) {
+        const std::uint32_t dx = topo.x_of(dst), dy = topo.y_of(dst);
+        std::uint32_t x = topo.x_of(f.src), y = topo.y_of(f.src);
+        // The rest of an XY route depends only on (node, dst): the walk
+        // stops at the first (node, prev) this destination already
+        // holds, because everything downstream of it is installed.
+        for (NodeId prev = f.src, node = f.src;
+             groups.claim(node, prev);) {
+            if (x != dx)
+                x = x < dx ? x + 1 : x - 1;
+            else if (y != dy)
+                y = y < dy ? y + 1 : y - 1;
+            const NodeId next = topo.node_at(x, y);
+            net.router(node).routing_table().add(
+                {prev, dst_key(dst)}, RouteResult{next, kKeepFlow, 1.0});
+            if (next == node)
+                break; // delivered
+            prev = node;
+            node = next;
+        }
+    });
 }
 
 void
 build_shortest(Network &net, const std::vector<FlowSpec> &flows)
 {
+    net.register_flows(flows);
     for (const auto &f : flows) {
         install_single_phase_path(
             net, shortest_path(net.topology(), f.src, f.dst), f.id, 0, 1.0);
@@ -58,6 +81,7 @@ build_static_greedy(Network &net, const std::vector<FlowSpec> &flows,
                     double alpha)
 {
     const Topology &topo = net.topology();
+    net.register_flows(flows);
     // Directed per-link committed load, indexed [node][port].
     std::vector<std::vector<double>> load(topo.num_nodes());
     std::vector<std::vector<double>> cost(topo.num_nodes());

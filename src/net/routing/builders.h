@@ -3,10 +3,9 @@
  * Routing-table builders (paper II-A2).
  *
  * A wide range of oblivious and static routing schemes is expressed by
- * configuring per-node routing tables addressed by
- * <prev_node_id, flow_id> with weighted next-hop results
- * {<next_node_id, next_flow_id, weight>, ...}. Each builder installs
- * the entries for a set of flows:
+ * configuring per-node routing tables with weighted next-hop results
+ * {<next_node_id, next_flow_id, weight>, ...} (net/routing_table.h).
+ * Each builder installs the entries for a set of flows:
  *
  *  - build_xy        : dimension-ordered XY (DOR) on a 2D mesh
  *  - build_o1turn    : O1TURN [8] — XY and YX subroutes, equal weight,
@@ -34,8 +33,21 @@
  *                      random intermediate group (two-phase flow
  *                      renaming, ROMM-style weight merging)
  *
- * All builders assume fresh tables for the given flows; installing the
- * same flow twice accumulates weights and corrupts the distribution.
+ * build_xy and build_prom route by destination: their routes depend
+ * only on where the packet is and where it goes, so they install one
+ * <prev_node_id, destination> entry per node, previous hop and
+ * destination, shared by every flow bound there, and never rename the
+ * flow. Each such entry is installed once per call: give one call all
+ * of a destination's flows, since a second call for the same
+ * destination would add its weights again. Every other builder keys
+ * its entries by <prev_node_id, flow_id>, because its routes rename
+ * the flow in flight or may differ by source; these builders assume
+ * fresh tables for the given flows, and installing the same flow twice
+ * accumulates weights and corrupts the distribution.
+ *
+ * Every builder registers its flows with the Network
+ * (Network::register_flows): that registration, not the tables, is
+ * what a tile's deliverable-flow set is built from.
  */
 #ifndef HORNET_NET_ROUTING_BUILDERS_H
 #define HORNET_NET_ROUTING_BUILDERS_H
@@ -51,7 +63,7 @@
  */
 namespace hornet::net::routing {
 
-/** Dimension-ordered XY routing on a 2D mesh. */
+/** Dimension-ordered XY routing on a 2D mesh (destination-keyed). */
 void build_xy(Network &net, const std::vector<FlowSpec> &flows);
 
 /** O1TURN: XY and YX subroutes with equal weight (phases 1 and 2). */
@@ -63,7 +75,8 @@ void build_romm(Network &net, const std::vector<FlowSpec> &flows);
 /** Valiant: random intermediate drawn from the whole mesh. */
 void build_valiant(Network &net, const std::vector<FlowSpec> &flows);
 
-/** Uniform PROM: weights by the number of remaining minimal paths. */
+/** Uniform PROM: weights by the number of remaining minimal paths
+ *  (destination-keyed). */
 void build_prom(Network &net, const std::vector<FlowSpec> &flows);
 
 /** Deterministic BFS shortest paths; works on any geometry. */
@@ -116,8 +129,9 @@ void build_dragonfly_valiant(Network &net,
 
 /**
  * Install a single deterministic @p path for flow @p base, tagging all
- * in-flight hops with @p phase and restoring the base id on delivery.
- * Exposed for custom schemes and tests.
+ * in-flight hops with @p phase and restoring the base id on delivery
+ * (flow-keyed entries). Exposed for custom schemes and tests; it does
+ * not register the flow with the Network.
  */
 void install_single_phase_path(Network &net,
                                const std::vector<NodeId> &path,

@@ -148,6 +148,7 @@ build_dragonfly_minimal(Network &net, const std::vector<FlowSpec> &flows)
 {
     const Topology &topo = net.topology();
     require_dragonfly_hosts(topo, flows, "build_dragonfly_minimal");
+    net.register_flows(flows);
     const DfGeom geo(topo);
     for (const auto &f : flows) {
         if (f.src == f.dst) {
@@ -165,6 +166,7 @@ build_dragonfly_valiant(Network &net, const std::vector<FlowSpec> &flows)
 {
     const Topology &topo = net.topology();
     require_dragonfly_hosts(topo, flows, "build_dragonfly_valiant");
+    net.register_flows(flows);
     const DfGeom geo(topo);
     for (const auto &f : flows) {
         if (f.src == f.dst) {

@@ -16,6 +16,7 @@ void
 build_o1turn(Network &net, const std::vector<FlowSpec> &flows)
 {
     const Topology &topo = net.topology();
+    net.register_flows(flows);
     for (const auto &f : flows) {
         if (f.src == f.dst) {
             net.router(f.src).routing_table().add(

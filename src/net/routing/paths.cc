@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 #include "common/log.h"
@@ -127,6 +128,42 @@ weighted_path(const Topology &topo, NodeId src, NodeId dst,
         path.push_back(v);
     std::reverse(path.begin(), path.end());
     return path;
+}
+
+DestinationGroups::DestinationGroups(const Topology &topo,
+                                     const std::vector<FlowSpec> &flows)
+    : flows_(flows)
+{
+    const std::uint32_t n = topo.num_nodes();
+    // Counting sort by destination, stable in input order.
+    first_.assign(n + 1, 0);
+    for (const FlowSpec &f : flows)
+        ++first_[f.dst + 1];
+    std::partial_sum(first_.begin(), first_.end(), first_.begin());
+    order_.resize(flows.size());
+    std::vector<std::uint32_t> next(first_.begin(), first_.end() - 1);
+    for (std::uint32_t i = 0; i < flows.size(); ++i)
+        order_[next[flows[i].dst]++] = i;
+
+    for (NodeId u = 0; u < n; ++u)
+        stride_ = std::max<std::uint32_t>(
+            stride_, static_cast<std::uint32_t>(topo.neighbors(u).size()));
+    ++stride_;
+    inputs_.assign(std::size_t{n} * stride_, kInvalidNode);
+    for (NodeId u = 0; u < n; ++u) {
+        const auto &nbrs = topo.neighbors(u);
+        std::copy(nbrs.begin(), nbrs.end(),
+                  inputs_.begin() + std::size_t{u} * stride_);
+        inputs_[std::size_t{u} * stride_ + stride_ - 1] = u;
+    }
+    claimed_.assign(inputs_.size(), 0);
+}
+
+void
+DestinationGroups::not_an_input(NodeId node, NodeId prev)
+{
+    panic(strcat("destination walk: ", prev, " is not a neighbour of ",
+                 node));
 }
 
 } // namespace hornet::net::routing

@@ -83,6 +83,7 @@ build_two_phase(Network &net, const std::vector<FlowSpec> &flows,
     const Topology &topo = net.topology();
     if (!topo.is_mesh_like() || topo.layers() != 1)
         fatal("ROMM/Valiant builders require a 2D mesh topology");
+    net.register_flows(flows);
     for (const auto &f : flows) {
         if (f.src == f.dst) {
             net.router(f.src).routing_table().add(

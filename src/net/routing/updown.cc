@@ -140,6 +140,7 @@ build_updown(Network &net, const std::vector<FlowSpec> &flows)
                          " endpoint is a switch-only node"));
         install_updown(net, g, f);
     }
+    net.register_flows(flows);
 }
 
 } // namespace hornet::net::routing

@@ -1,37 +1,34 @@
 #include "net/routing_table.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace hornet::net {
 
-const RouteResult &
-RoutingTable::pick(const RouteKey &key, Rng &rng) const
+void
+RoutingTable::freeze(common::Arena *arena)
 {
-    const Options *opts = lookup(key);
-    if (opts == nullptr || opts->empty()) {
-        panic(strcat("routing table at node ", node_, ": no entry for prev=",
-                     key.prev_node, " flow=", key.flow, " (", describe(),
-                     ")"));
-    }
-    return pick_from(*opts, rng);
+    if (frozen())
+        return;
+    OptionTable::freeze(arena);
+    for_each([&](const RouteKey &key, const Options &) {
+        if (!is_dst_key(key.flow))
+            ++flow_keys_;
+    });
 }
 
-std::vector<FlowId>
-deliverable_flows(const RoutingTable &table, NodeId node)
+void
+RoutingTable::adopt(const RoutingTable &donor)
 {
-    std::vector<FlowId> flows;
-    table.for_each(
-        [&](const RouteKey &, const RoutingTable::Options &opts) {
-            for (const RouteResult &o : opts) {
-                if (o.next_node == node)
-                    flows.push_back(o.next_flow);
-            }
-        });
-    std::sort(flows.begin(), flows.end());
-    flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
-    return flows;
+    OptionTable::adopt(donor);
+    flow_keys_ = donor.flow_keys_;
+}
+
+void
+RoutingTable::no_route(NodeId prev, FlowId flow, NodeId dst) const
+{
+    panic(strcat("routing table at node ", node_, ": no route for prev=",
+                 prev, " flow=", flow, " dst=", dst, " (", describe(),
+                 ")"));
 }
 
 } // namespace hornet::net

@@ -41,6 +41,11 @@ build_phase_split(Network &net)
 
     for_each_transition(net, [&](Router &r, const RouteKey &key,
                                  const RouteResult &res) {
+        // Destination entries never rename (their next_flow is
+        // kKeepFlow, whose phase byte reads 255): dynamic, like the
+        // unphased flows.
+        if (is_dst_key(key.flow))
+            return;
         const std::uint32_t phase = flowid::phase_of(res.next_flow);
         if (phase == 0)
             return; // unphased flows stay dynamic
@@ -58,6 +63,13 @@ build_static_set(Network &net)
     const std::uint32_t vcs = net.config().router.net_vcs;
     for_each_transition(net, [&](Router &r, const RouteKey &key,
                                  const RouteResult &res) {
+        if (is_dst_key(key.flow))
+            fatal(strcat("static-set VCA pins VCs per flow, but node ",
+                         r.id(), " routes destination ",
+                         flowid::base_of(key.flow), " from prev ",
+                         key.prev_node,
+                         " by destination (build_xy/build_prom); use a "
+                         "flow-keyed builder such as build_static_greedy"));
         VcaKey vk{key.prev_node, key.flow, res.next_node, res.next_flow};
         const VcId v = static_cast<VcId>(
             flowid::base_of(res.next_flow) % vcs);

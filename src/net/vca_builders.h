@@ -29,10 +29,13 @@
 namespace hornet::net::vca {
 
 /** Split each port's VCs between routing phases 1 and 2. Unphased
- *  (phase 0) flows keep dynamic access to all VCs. */
+ *  (phase 0) flows and destination entries (which never rename) keep
+ *  dynamic access to all VCs. */
 void build_phase_split(Network &net);
 
-/** Pin every flow to VC (base flow id % VC count) on every hop. */
+/** Pin every flow to VC (base flow id % VC count) on every hop.
+ *  Needs flow-keyed routes: fatal() on a destination entry, which
+ *  names no flow to pin. */
 void build_static_set(Network &net);
 
 } // namespace hornet::net::vca

@@ -8,6 +8,9 @@
 #ifndef HORNET_SIM_EJECTION_SINK_H
 #define HORNET_SIM_EJECTION_SINK_H
 
+#include <bit>
+#include <cstdint>
+
 #include "net/router.h"
 #include "sim/frontend.h"
 
@@ -25,16 +28,22 @@ class EjectionSink : public Frontend
     {
         for (VcId v = 0; v < router_->num_ejection_vcs(); ++v) {
             auto &buf = router_->ejection_buffer(v);
-            while (buf.front_ready(now) != nullptr)
+            while (buf.front_ready(now) != nullptr) {
                 buf.pop();
+                popped_ |= std::uint64_t{1} << v;
+            }
         }
     }
 
+    /** Commit the VCs popped this cycle (committing any other would be
+     *  a no-op). */
     void
     negedge(Cycle) override
     {
-        for (VcId v = 0; v < router_->num_ejection_vcs(); ++v)
-            router_->ejection_buffer(v).commit_negedge();
+        for (std::uint64_t m = popped_; m != 0; m &= m - 1)
+            router_->ejection_buffer(static_cast<VcId>(std::countr_zero(m)))
+                .commit_negedge();
+        popped_ = 0;
     }
 
     bool idle(Cycle) const override { return true; }
@@ -43,6 +52,9 @@ class EjectionSink : public Frontend
 
   private:
     net::Router *router_;
+    /// Ejection VCs popped since the last negedge, one bit per VC (a
+    /// router has at most 64 per port).
+    std::uint64_t popped_ = 0;
 };
 
 } // namespace hornet::sim

@@ -4,6 +4,10 @@
 #include <thread>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/log.h"
 #include "sim/ejection_sink.h"
 
@@ -166,48 +170,69 @@ System::freeze_tables()
     if (tables_frozen_)
         return;
     const std::uint32_t n = static_cast<std::uint32_t>(tiles_.size());
+#ifdef __GLIBC__
+    // The build records that the table freezes below free were
+    // allocated on this thread. glibc keeps freed small blocks mapped,
+    // and the group threads allocate from their own malloc arenas, so
+    // nothing would reuse the records: they would stay resident under
+    // every frozen table. When they are large (all-pairs traffic: 5 MiB
+    // on 16x16; on 32x32 they cost about 80 MB of peak RSS), one trim
+    // between the two passes hands their pages back. Small builds
+    // (pattern traffic on 32x32 frees under 1 MiB) skip it: a trim
+    // returns every other free page too, which later allocations fault
+    // back in, and on the mesh32-sparse e2e workload that added about
+    // 10% to set-up time.
+    constexpr std::size_t kTrimRecordBytes = std::size_t{4} << 20;
+    std::size_t record_bytes = 0;
+    for (NodeId i = 0; i < n; ++i) {
+        const net::Router &r = network_->router(i);
+        record_bytes +=
+            r.routing_table().record_bytes() + r.vca_table().record_bytes();
+    }
+#endif
     // Each group's tables freeze into that group's arena on its own
     // (possibly pinned) thread, mirroring construction: the frozen
     // slot arrays and option slabs first-touch on the core that later
     // runs the matching shard. Table contents are thread-independent,
     // so parallel freezing is bitwise-equivalent to serial.
     common::for_each_group(placement_, [&](unsigned g) {
-        for (NodeId i = 0; i < n; ++i) {
-            if (common::block_of(i, n, placement_.groups) != g)
-                continue;
-            net::Router &r = network_->router(i);
-            r.freeze_tables();
-            // The flows this tile can deliver: delivery entries route
-            // to the node itself, and their next_flow is the original
-            // (phase-stripped) flow id the delivered-flit stats are
-            // keyed by.
-            tiles_[i]->flow_stats().freeze(
-                net::deliverable_flows(r.routing_table(), i),
-                placement_.arena_of_node[i]);
-        }
+        for (NodeId i = 0; i < n; ++i)
+            if (common::block_of(i, n, placement_.groups) == g)
+                network_->router(i).freeze_tables();
+    });
+#ifdef __GLIBC__
+    if (record_bytes >= kTrimRecordBytes)
+        malloc_trim(0);
+#endif
+    // The flows each tile can deliver: those the routing builders
+    // registered with its node as destination.
+    common::for_each_group(placement_, [&](unsigned g) {
+        for (NodeId i = 0; i < n; ++i)
+            if (common::block_of(i, n, placement_.groups) == g)
+                tiles_[i]->flow_stats().freeze(
+                    network_->deliverable_flows(i),
+                    placement_.arena_of_node[i]);
     });
     tables_frozen_ = true;
 }
 
 void
-System::adopt_frozen_tables(
-    const System &donor, const std::vector<std::vector<FlowId>> &deliverable)
+System::adopt_frozen_tables(const System &donor)
 {
     if (tables_frozen_)
         panic("adopt_frozen_tables: tables already frozen");
     const std::uint32_t n = static_cast<std::uint32_t>(tiles_.size());
-    if (donor.num_tiles() != n || deliverable.size() != n)
-        panic(strcat("adopt_frozen_tables: donor/deliverable shape "
-                     "mismatch (", donor.num_tiles(), "/",
-                     deliverable.size(), " vs ", n, " tiles)"));
+    if (donor.num_tiles() != n)
+        panic(strcat("adopt_frozen_tables: donor has ", donor.num_tiles(),
+                     " tiles, not ", n));
     common::for_each_group(placement_, [&](unsigned g) {
         for (NodeId i = 0; i < n; ++i) {
             if (common::block_of(i, n, placement_.groups) != g)
                 continue;
             network_->router(i).adopt_tables(donor.network().router(i));
-            std::vector<FlowId> flows = deliverable[i];
-            tiles_[i]->flow_stats().freeze(std::move(flows),
-                                           placement_.arena_of_node[i]);
+            tiles_[i]->flow_stats().freeze(
+                donor.network().deliverable_flows(i),
+                placement_.arena_of_node[i]);
         }
     });
     tables_frozen_ = true;

@@ -161,8 +161,9 @@ class System
     /**
      * Compile the per-flit lookup structures: every router's routing
      * and VCA tables freeze into their flat single-probe forms, and
-     * every tile's deliverable-flow set (the original flows of its
-     * routing table's delivery entries) freezes into the dense
+     * every tile's deliverable-flow set (the flows the routing
+     * builders registered with it as destination,
+     * net::Network::deliverable_flows) freezes into the dense
      * flow-stats index — all carved from the owning placement group's
      * arena, on that group's construction thread. Routing tables a VCA
      * builder already froze (on the builder's thread) stay as they
@@ -176,18 +177,16 @@ class System
      * our own (the SystemBlueprint seam): every router's routing and
      * VCA tables share @p donor's read-only flat storage
      * (net::OptionTable::adopt), and every tile's flow-stats index
-     * freezes from the precomputed @p deliverable flow set (one sorted
-     * list per node, from net::deliverable_flows) — skipping both the
-     * table-build walk and the freeze compilation, the dominant cost
-     * of System construction. Runs per placement group on that group's
-     * construction thread, like freeze_tables(). The donor must be
-     * frozen, built on the same topology/config, and must outlive this
-     * System. Panics if tables were already frozen or any router's
-     * tables are non-empty (builders must not have run here).
+     * freezes from the donor's registered deliverable-flow sets —
+     * skipping both the table build and the freeze compilation, the
+     * dominant cost of System construction. Runs per placement group
+     * on that group's construction thread, like freeze_tables(). The
+     * donor must be frozen, built on the same topology/config, and
+     * must outlive this System. Panics if tables were already frozen
+     * or any router's tables are non-empty (builders must not have
+     * run here).
      */
-    void adopt_frozen_tables(
-        const System &donor,
-        const std::vector<std::vector<FlowId>> &deliverable);
+    void adopt_frozen_tables(const System &donor);
 
     /**
      * Return the system to its just-constructed state for another run

@@ -1,7 +1,6 @@
 #include "sim/system_blueprint.h"
 
 #include "common/log.h"
-#include "net/routing_table.h"
 
 namespace hornet::sim {
 
@@ -20,11 +19,6 @@ SystemBlueprint::freeze()
     if (frozen_)
         return;
     proto_->freeze_tables();
-    const std::uint32_t n = proto_->num_tiles();
-    deliverable_.resize(n);
-    for (NodeId i = 0; i < n; ++i)
-        deliverable_[i] = net::deliverable_flows(
-            proto_->network().router(i).routing_table(), i);
     frozen_ = true;
 }
 
@@ -34,7 +28,7 @@ SystemBlueprint::instantiate(std::uint64_t seed) const
     if (!frozen_)
         panic("SystemBlueprint::instantiate before freeze()");
     auto sys = std::make_unique<System>(topo_, cfg_, seed, layout_);
-    sys->adopt_frozen_tables(*proto_, deliverable_);
+    sys->adopt_frozen_tables(*proto_);
     attach_frontends(*sys, seed);
     return sys;
 }

@@ -5,15 +5,15 @@
  * A parameter sweep runs the same system many times with different
  * seeds or workloads. Building a System from scratch for every point
  * repeats work whose result is identical each time: walking the
- * topology in the routing/VCA builders, compiling the tables into
- * their frozen flat forms, and deriving each tile's deliverable-flow
- * set. SystemBlueprint factors that work out: it owns a frozen
- * *prototype* System whose read-only flat tables every instantiated
- * System adopts as views (net::OptionTable::adopt), so per-run
- * construction is reduced to the genuinely per-run half — tiles,
- * routers, buffers and frontends. Instantiated systems are
- * independent otherwise and may run concurrently on different
- * threads; sim::JobEngine packs them onto a worker pool.
+ * topology in the routing/VCA builders and compiling the tables into
+ * their frozen flat forms. SystemBlueprint factors that work out: it
+ * owns a frozen *prototype* System whose read-only flat tables every
+ * instantiated System adopts as views (net::OptionTable::adopt), and
+ * whose registered deliverable-flow sets size their flow-stats
+ * indexes, so per-run construction is reduced to the genuinely
+ * per-run half — tiles, routers, buffers and frontends. Instantiated
+ * systems are independent otherwise and may run concurrently on
+ * different threads; sim::JobEngine packs them onto a worker pool.
  */
 #ifndef HORNET_SIM_SYSTEM_BLUEPRINT_H
 #define HORNET_SIM_SYSTEM_BLUEPRINT_H
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/types.h"
 #include "net/network.h"
@@ -32,7 +31,7 @@ namespace hornet::sim {
 
 /**
  * The immutable, shareable half of a System: topology, configuration,
- * frozen routing/VCA tables and precomputed deliverable-flow sets.
+ * frozen routing/VCA tables and the registered deliverable-flow sets.
  *
  * Usage: construct, populate the prototype's routing/VCA tables
  * through network() (the same builder calls a standalone System
@@ -90,9 +89,9 @@ class SystemBlueprint
     void set_frontend_factory(FrontendFactory f) { factory_ = std::move(f); }
 
     /**
-     * Freeze the prototype's tables and precompute each node's
-     * deliverable-flow set. Call after the builders have populated
-     * the tables; idempotent. Until then instantiate() panics.
+     * Freeze the prototype's tables. Call after the builders have
+     * populated the tables (and registered their flows); idempotent.
+     * Until then instantiate() panics.
      */
     void freeze();
 
@@ -130,9 +129,6 @@ class SystemBlueprint
     /// Prototype hosting the shared frozen tables; never runs.
     std::unique_ptr<System> proto_;
     FrontendFactory factory_;
-    /// Per-node deliverable-flow sets (net::deliverable_flows),
-    /// precomputed at freeze() so instantiation skips the table walk.
-    std::vector<std::vector<FlowId>> deliverable_;
     bool frozen_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "traffic/bridge.h"
 
+#include <bit>
+
 #include "common/log.h"
 #include "net/flow.h"
 
@@ -105,6 +107,7 @@ Bridge::posedge(Cycle now)
             if (buf.front_ready(now) == nullptr)
                 break;
             const net::Flit f = buf.pop();
+            rx_popped_ |= std::uint64_t{1} << v;
             --rx_budget;
             ++rx_backlog_flits_;
             Partial &part = rx_partial_[f.packet];
@@ -190,8 +193,12 @@ Bridge::posedge(Cycle now)
 void
 Bridge::negedge(Cycle)
 {
-    for (std::uint32_t v = 0; v < router_->num_ejection_vcs(); ++v)
-        router_->ejection_buffer(v).commit_negedge();
+    // Only VCs popped this cycle have pops to commit; committing any
+    // other would be a no-op.
+    for (std::uint64_t m = rx_popped_; m != 0; m &= m - 1)
+        router_->ejection_buffer(static_cast<VcId>(std::countr_zero(m)))
+            .commit_negedge();
+    rx_popped_ = 0;
 }
 
 } // namespace hornet::traffic

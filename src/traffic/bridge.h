@@ -156,6 +156,10 @@ class Bridge
     std::unordered_map<PacketId, Partial> rx_partial_;
     std::deque<RxPacket> rx_queue_;
     std::uint32_t rx_backlog_flits_ = 0;
+    /** Ejection VCs popped since the last negedge, one bit per VC
+     *  (a router has at most 64 per port): the negedge commits only
+     *  these. */
+    std::uint64_t rx_popped_ = 0;
 };
 
 } // namespace hornet::traffic

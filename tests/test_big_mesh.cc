@@ -7,10 +7,11 @@
  * included), and the arena footprint is observable — and bounded —
  * through SystemStats.
  *
- * Every system here uses the shuffle pattern: flow tables are built
- * per source-destination pair, so all-pairs traffic ("uniform") is
- * quadratic in nodes and would make construction, not simulation, the
- * cost at this size.
+ * Most systems here use the shuffle pattern, one flow per source:
+ * FlowSpecs and deliverable-flow sets are per source-destination pair,
+ * so all-pairs traffic ("uniform") is quadratic in nodes. The one
+ * all-pairs case (labelled `long`) pins the size of destination-keyed
+ * XY tables at 1024 tiles.
  */
 #include <gtest/gtest.h>
 
@@ -134,6 +135,39 @@ TEST(BigMesh, ArenaFootprintReportedAndBounded)
     EXPECT_LT(stats.arena_bytes_per_tile, 24.0 * 1024);
     // The footprint shows up in the human-readable summary.
     EXPECT_NE(stats.summary().find("arena bytes"), std::string::npos);
+}
+
+TEST(BigMesh, Mesh32AllPairsXyTables)
+{
+    // All-pairs XY at 1024 tiles: destination keys hold one entry per
+    // (node, prev, destination), 2,095,104 in all, where one entry per
+    // flow and hop put about 2.7 MB of arena on every tile.
+    const net::Topology topo = net::Topology::mesh2d(32, 32);
+    const std::uint32_t n = topo.num_nodes();
+    auto sys = std::make_unique<sim::System>(topo, net::NetworkConfig{},
+                                             /*seed=*/3);
+    net::routing::build_xy(sys->network(), traffic::flows_all_pairs(n));
+    const auto pattern = traffic::pattern_by_name("uniform", n);
+    for (NodeId i = 0; i < n; ++i) {
+        traffic::SyntheticConfig sc;
+        sc.pattern = pattern;
+        sc.packet_size = 4;
+        sc.rate = 0.01;
+        sys->add_frontend(i, std::make_unique<traffic::SyntheticInjector>(
+                                 sys->tile(i), sc));
+    }
+    sys->freeze_tables();
+    std::size_t entries = 0;
+    for (NodeId i = 0; i < n; ++i)
+        entries += sys->network().router(i).routing_table().size();
+    EXPECT_EQ(entries, 2095104u);
+
+    sim::RunOptions ro;
+    ro.max_cycles = 200;
+    sys->run(ro);
+    const SystemStats stats = sys->collect_stats();
+    EXPECT_GT(stats.total.flits_delivered, 0u);
+    EXPECT_LT(stats.arena_bytes_per_tile, 512.0 * 1024);
 }
 
 } // namespace

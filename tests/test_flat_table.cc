@@ -296,11 +296,11 @@ TEST(FlatTable, RoutingTableFreezeContract)
     EXPECT_THROW(t.lookup({3, 7}), std::logic_error);
     EXPECT_THROW(t.lookup({5, 5}), std::logic_error);
     EXPECT_THROW(t.size(), std::logic_error);
-    EXPECT_THROW(t.pick({3, 7}, rng), std::logic_error);
+    EXPECT_THROW(t.pick(3, 7, 0, rng), std::logic_error);
     EXPECT_THROW(t.for_each([](const net::RouteKey &,
                                const net::RoutingTable::Options &) {}),
                  std::logic_error);
-    EXPECT_THROW(net::deliverable_flows(t, 3), std::logic_error);
+    EXPECT_THROW(t.route(0, 9, 3), std::logic_error);
     net::RoutingTable early(3);
     EXPECT_THROW(early.adopt(t), std::logic_error); // unfrozen donor
 
@@ -316,6 +316,8 @@ TEST(FlatTable, RoutingTableFreezeContract)
     EXPECT_EQ((*post)[1].next_node, 2u);
     EXPECT_EQ(t.lookup({5, 5}), nullptr); // nullptr contract survives
     EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.flow_keys(), 2u);
+    EXPECT_EQ(&t.route(3, 7, 0), post);
 
     // The freeze-order contract: mutation after freeze is a bug.
     EXPECT_THROW(t.add({3, 7}, {1, 7, 1.0}), std::logic_error);
@@ -325,6 +327,9 @@ TEST(FlatTable, RoutingTableFreezeContract)
     shared.adopt(t);
     EXPECT_TRUE(shared.frozen());
     EXPECT_EQ(shared.lookup({3, 7}), post);
+    // The flow-key count comes along, so route() still probes flows.
+    EXPECT_EQ(shared.flow_keys(), 2u);
+    EXPECT_EQ(&shared.route(3, 7, 0), post);
     EXPECT_THROW(shared.adopt(t), std::logic_error);
 }
 

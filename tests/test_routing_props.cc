@@ -90,13 +90,14 @@ manhattan(const Topology &topo, NodeId a, NodeId b)
 }
 
 /**
- * Walk the routing tables from @p src like a packet would (weighted
- * random picks, flow renaming) and return the realized node path,
- * ending at the delivery node. Fails the walk (short path, no
- * delivery sentinel) after @p max_steps.
+ * Walk the routing tables from @p src like a head flit of @p flow
+ * bound for @p dst would (RoutingTable::route, weighted random picks,
+ * flow renaming) and return the realized node path, ending at the
+ * delivery node. Fails the walk (short path, no delivery sentinel)
+ * after @p max_steps.
  */
 std::vector<NodeId>
-walk_path(Network &net, NodeId src, FlowId flow, Rng &rng,
+walk_path(Network &net, NodeId src, FlowId flow, NodeId dst, Rng &rng,
           std::size_t max_steps = 200)
 {
     std::vector<NodeId> path{src};
@@ -105,12 +106,13 @@ walk_path(Network &net, NodeId src, FlowId flow, Rng &rng,
     FlowId f = flow;
     for (std::size_t i = 0; i < max_steps; ++i) {
         const RouteResult &r =
-            net.router(node).routing_table().pick({prev, f}, rng);
+            net.router(node).routing_table().pick(prev, f, dst, rng);
         if (r.next_node == node)
             return path; // delivered to the CPU port
         prev = node;
         node = r.next_node;
-        f = r.next_flow;
+        if (r.next_flow != kKeepFlow)
+            f = r.next_flow;
         path.push_back(node);
     }
     return path;
@@ -179,9 +181,9 @@ sweep_minimal(Builder build, std::uint64_t salt)
                 SCOPED_TRACE("flow " + std::to_string(fl.id) +
                              " seed " + std::to_string(seed));
                 Rng rng(seed);
-                expect_minimal(topo,
-                               walk_path(*net.net, fl.src, fl.id, rng),
-                               fl.src, fl.dst);
+                expect_minimal(
+                    topo, walk_path(*net.net, fl.src, fl.id, fl.dst, rng),
+                    fl.src, fl.dst);
             }
     }
 }
@@ -219,7 +221,7 @@ TEST(RoutingProps, O1turnRealizesExactlyXyOrYxSubroutes)
             for (std::uint64_t seed = 1; seed <= 32; ++seed) {
                 Rng rng(seed);
                 const auto p =
-                    walk_path(*net.net, fl.src, fl.id, rng);
+                    walk_path(*net.net, fl.src, fl.id, fl.dst, rng);
                 EXPECT_TRUE(p == xy || p == yx)
                     << "walk is neither the XY nor the YX subroute";
                 saw_xy = saw_xy || p == xy;
@@ -255,8 +257,8 @@ sweep_deterministic(Builder build, std::uint64_t salt)
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
-            EXPECT_EQ(walk_path(*a.net, fl.src, fl.id, ra),
-                      walk_path(*b.net, fl.src, fl.id, rb))
+            EXPECT_EQ(walk_path(*a.net, fl.src, fl.id, fl.dst, ra),
+                      walk_path(*b.net, fl.src, fl.id, fl.dst, rb))
                 << "flow " << fl.id << " seed " << seed;
         }
 }
@@ -274,6 +276,150 @@ TEST(RoutingProps, RommConstructionIsDeterministic)
 TEST(RoutingProps, PromConstructionIsDeterministic)
 {
     sweep_deterministic(&routing::build_prom, 0x17);
+}
+
+// ---------------------------------------------------------------------
+// Destination-keyed builders: build_xy and build_prom install one entry
+// per (node, prev, destination). Every flow must still see, step by
+// step, exactly the route and option lists a per-flow install gives.
+// ---------------------------------------------------------------------
+
+/** Every ordered (src, dst) pair of @p nodes, local delivery included. */
+std::vector<FlowSpec>
+every_pair(std::uint32_t nodes)
+{
+    std::vector<FlowSpec> flows;
+    for (NodeId s = 0; s < nodes; ++s)
+        for (NodeId t = 0; t < nodes; ++t)
+            flows.push_back({traffic::pair_flow(s, t), s, t, 1.0});
+    return flows;
+}
+
+/** The meshes of the destination-keyed equivalence sweeps: square,
+ *  oblong, and both one-dimensional lines. */
+std::vector<Topology>
+equivalence_meshes()
+{
+    return {Topology::mesh2d(4, 4), Topology::mesh2d(5, 3),
+            Topology::mesh2d(1, 6), Topology::mesh2d(6, 1)};
+}
+
+TEST(RoutingProps, XyDestinationEntriesMatchFlowKeyedInstall)
+{
+    for (const Topology &topo : equivalence_meshes()) {
+        SCOPED_TRACE(std::to_string(topo.width()) + "x" +
+                     std::to_string(topo.height()));
+        const auto flows = every_pair(topo.num_nodes());
+        NetHarness dst_keyed(topo);
+        routing::build_xy(*dst_keyed.net, flows);
+        // Reference: the per-flow install, one entry per flow and hop.
+        NetHarness flow_keyed(topo);
+        for (const auto &fl : flows)
+            routing::install_single_phase_path(
+                *flow_keyed.net, routing::xy_path(topo, fl.src, fl.dst),
+                fl.id, 0, 1.0);
+        dst_keyed.freeze();
+        flow_keyed.freeze();
+
+        for (const auto &fl : flows) {
+            std::vector<NodeId> path{fl.src};
+            NodeId node = fl.src, prev = fl.src;
+            for (std::size_t step = 0; step <= topo.num_nodes(); ++step) {
+                const auto &got = dst_keyed.net->router(node)
+                                      .routing_table()
+                                      .route(prev, fl.id, fl.dst);
+                const auto &want = flow_keyed.net->router(node)
+                                       .routing_table()
+                                       .route(prev, fl.id, fl.dst);
+                ASSERT_EQ(got.size(), want.size());
+                ASSERT_EQ(got.size(), 1u);
+                EXPECT_EQ(got[0].next_node, want[0].next_node);
+                EXPECT_EQ(got[0].weight, want[0].weight);
+                EXPECT_EQ(got[0].next_flow, kKeepFlow);
+                EXPECT_EQ(want[0].next_flow, fl.id); // never renamed
+                if (got[0].next_node == node)
+                    break;
+                prev = node;
+                node = got[0].next_node;
+                path.push_back(node);
+            }
+            EXPECT_EQ(path, routing::xy_path(topo, fl.src, fl.dst))
+                << "flow " << fl.src << " -> " << fl.dst;
+        }
+        for (NodeId n = 0; n < topo.num_nodes(); ++n)
+            EXPECT_EQ(dst_keyed.net->router(n).routing_table().flow_keys(),
+                      0u);
+    }
+}
+
+/** C(n, k), the reference count of minimal paths. */
+double
+choose(std::uint32_t n, std::uint32_t k)
+{
+    double r = 1.0;
+    for (std::uint32_t i = 1; i <= k; ++i)
+        r = r * static_cast<double>(n - k + i) / static_cast<double>(i);
+    return r;
+}
+
+/**
+ * Visit every minimal path of a PROM flow from (@p node, @p prev),
+ * checking each step's options against the binomial weights of a
+ * per-flow install: the x-step first, weighted by the minimal paths
+ * through it, then the y-step. Returns the number of paths delivered.
+ */
+std::uint64_t
+check_prom_paths(Network &net, NodeId node, NodeId prev,
+                 const FlowSpec &fl)
+{
+    const Topology &topo = net.topology();
+    const auto &opts =
+        net.router(node).routing_table().route(prev, fl.id, fl.dst);
+    const std::uint32_t ux = topo.x_of(node), uy = topo.y_of(node);
+    const std::uint32_t dx = topo.x_of(fl.dst), dy = topo.y_of(fl.dst);
+    const std::uint32_t rx = ux > dx ? ux - dx : dx - ux;
+    const std::uint32_t ry = uy > dy ? uy - dy : dy - uy;
+    std::vector<RouteResult> want;
+    if (rx == 0 && ry == 0)
+        want.push_back({node, kKeepFlow, 1.0});
+    if (rx > 0)
+        want.push_back({topo.node_at(ux < dx ? ux + 1 : ux - 1, uy),
+                        kKeepFlow, choose(rx - 1 + ry, ry)});
+    if (ry > 0)
+        want.push_back({topo.node_at(ux, uy < dy ? uy + 1 : uy - 1),
+                        kKeepFlow, choose(rx + ry - 1, rx)});
+    EXPECT_EQ(std::vector<RouteResult>(opts.begin(), opts.end()), want)
+        << "at node " << node << " from " << prev << " for flow "
+        << fl.src << " -> " << fl.dst;
+    if (want.front().next_node == node)
+        return 1;
+    std::uint64_t paths = 0;
+    for (const RouteResult &o : opts)
+        paths += check_prom_paths(net, o.next_node, node, fl);
+    return paths;
+}
+
+TEST(RoutingProps, PromDestinationEntriesMatchFlowKeyedWeights)
+{
+    for (const Topology &topo : equivalence_meshes()) {
+        SCOPED_TRACE(std::to_string(topo.width()) + "x" +
+                     std::to_string(topo.height()));
+        const auto flows = every_pair(topo.num_nodes());
+        NetHarness net(topo);
+        routing::build_prom(*net.net, flows);
+        net.freeze();
+        for (const auto &fl : flows) {
+            const std::uint32_t sx = topo.x_of(fl.src);
+            const std::uint32_t sy = topo.y_of(fl.src);
+            const std::uint32_t dx = topo.x_of(fl.dst);
+            const std::uint32_t dy = topo.y_of(fl.dst);
+            const std::uint32_t span_x = sx > dx ? sx - dx : dx - sx;
+            const std::uint32_t span_y = sy > dy ? sy - dy : dy - sy;
+            EXPECT_EQ(check_prom_paths(*net.net, fl.src, fl.src, fl),
+                      static_cast<std::uint64_t>(
+                          choose(span_x + span_y, span_x)));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -335,7 +481,8 @@ TEST(RoutingProps, ShortestWalksMatchHopDistanceEverywhere)
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
-                const auto p = walk_path(*net.net, fl.src, fl.id, rng);
+                const auto p =
+                    walk_path(*net.net, fl.src, fl.id, fl.dst, rng);
                 expect_valid_walk(topo, p, fl.src, fl.dst);
                 EXPECT_EQ(p.size(),
                           topo.hop_distance(fl.src, fl.dst) + 1u)
@@ -360,7 +507,8 @@ TEST(RoutingProps, UpdownWalksAreMinimal)
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 6; ++seed) {
                 Rng rng(seed);
-                const auto p = walk_path(*net.net, fl.src, fl.id, rng);
+                const auto p =
+                    walk_path(*net.net, fl.src, fl.id, fl.dst, rng);
                 expect_valid_walk(topo, p, fl.src, fl.dst);
                 EXPECT_EQ(p.size(),
                           topo.hop_distance(fl.src, fl.dst) + 1u)
@@ -383,8 +531,8 @@ TEST(RoutingProps, UpdownConstructionIsDeterministic)
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             Rng ra(seed), rb(seed);
-            EXPECT_EQ(walk_path(*a.net, fl.src, fl.id, ra),
-                      walk_path(*b.net, fl.src, fl.id, rb))
+            EXPECT_EQ(walk_path(*a.net, fl.src, fl.id, fl.dst, ra),
+                      walk_path(*b.net, fl.src, fl.id, fl.dst, rb))
                 << "flow " << fl.id << " seed " << seed;
         }
 }
@@ -406,7 +554,8 @@ TEST(RoutingProps, DragonflyMinimalWalksAreDirect)
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
-                const auto p = walk_path(*net.net, fl.src, fl.id, rng);
+                const auto p =
+                    walk_path(*net.net, fl.src, fl.id, fl.dst, rng);
                 expect_valid_walk(topo, p, fl.src, fl.dst);
                 // host, local?, global?, local?, host: <= 5 hops, and
                 // no shorter than the true graph distance.
@@ -434,12 +583,12 @@ TEST(RoutingProps, DragonflyValiantWalksDeliver)
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
-            const auto p = walk_path(*a.net, fl.src, fl.id, ra);
+            const auto p = walk_path(*a.net, fl.src, fl.id, fl.dst, ra);
             expect_valid_walk(topo, p, fl.src, fl.dst);
             // Two direct segments share the intermediate router:
             // at most 2 * 5 - 2 hops (host links only at the ends).
             EXPECT_LE(p.size(), 9u);
-            EXPECT_EQ(p, walk_path(*b.net, fl.src, fl.id, rb))
+            EXPECT_EQ(p, walk_path(*b.net, fl.src, fl.id, fl.dst, rb))
                 << "flow " << fl.id << " seed " << seed;
         }
 }
@@ -471,14 +620,23 @@ TEST(RoutingProps, SwitchNodesNeverTerminateFlows)
         for (NodeId n = 0; n < c.topo.num_nodes(); ++n) {
             if (!c.topo.is_switch(n))
                 continue;
-            EXPECT_TRUE(
-                deliverable_flows(net.net->router(n).routing_table(), n)
-                    .empty())
-                << "switch " << n << " delivers flows";
+            // Neither the tables nor the flow registration may make a
+            // switch a delivery point.
+            net.net->router(n).routing_table().for_each(
+                [&](const RouteKey &key,
+                    const RoutingTable::Options &opts) {
+                    for (const RouteResult &o : opts)
+                        EXPECT_NE(o.next_node, n)
+                            << "switch " << n << " delivers prev "
+                            << key.prev_node << " flow " << key.flow;
+                });
+            EXPECT_TRUE(net.net->deliverable_flows(n).empty())
+                << "switch " << n << " has registered flows";
         }
         for (const auto &fl : flows) {
             Rng rng(1);
-            const auto p = walk_path(*net.net, fl.src, fl.id, rng);
+            const auto p =
+                walk_path(*net.net, fl.src, fl.id, fl.dst, rng);
             EXPECT_FALSE(c.topo.is_switch(p.front()));
             EXPECT_FALSE(c.topo.is_switch(p.back()));
         }

@@ -49,11 +49,12 @@ struct NetHarness
 };
 
 /**
- * Walk the routing tables from src like a packet would (weighted
- * random picks, flow renaming) and return the delivery node.
+ * Walk the routing tables from src like a head flit of @p flow bound
+ * for @p dst would (RoutingTable::route, weighted random picks, flow
+ * renaming) and return the delivery node.
  */
 NodeId
-table_walk(Network &net, NodeId src, FlowId flow, Rng &rng,
+table_walk(Network &net, NodeId src, FlowId flow, NodeId dst, Rng &rng,
            std::size_t max_steps = 1000)
 {
     NodeId node = src;
@@ -61,12 +62,13 @@ table_walk(Network &net, NodeId src, FlowId flow, Rng &rng,
     FlowId f = flow;
     for (std::size_t i = 0; i < max_steps; ++i) {
         const RouteResult &r =
-            net.router(node).routing_table().pick({prev, f}, rng);
+            net.router(node).routing_table().pick(prev, f, dst, rng);
         if (r.next_node == node)
             return node; // delivered to the CPU port
         prev = node;
         node = r.next_node;
-        f = r.next_flow;
+        if (r.next_flow != kKeepFlow)
+            f = r.next_flow;
     }
     return kInvalidNode; // walked too long: broken table
 }
@@ -105,7 +107,7 @@ TEST(RoutingTable, PickMissingPanics)
     RoutingTable t(0);
     t.freeze();
     Rng rng(1);
-    EXPECT_THROW(t.pick({0, 1}, rng), std::logic_error);
+    EXPECT_THROW(t.pick(0, 1, 0, rng), std::logic_error);
 }
 
 TEST(RoutingTable, WeightedPickRespectsWeights)
@@ -118,7 +120,7 @@ TEST(RoutingTable, WeightedPickRespectsWeights)
     int to2 = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        to2 += t.pick({0, 1}, rng).next_node == 2;
+        to2 += t.pick(0, 1, 0, rng).next_node == 2;
     EXPECT_NEAR(static_cast<double>(to2) / n, 0.75, 0.02);
 }
 
@@ -175,11 +177,16 @@ TEST(BuildXy, InstallsDeterministicRoute)
 
     Rng rng(9);
     // Every step has exactly one option; the walk ends at node 2.
-    EXPECT_EQ(table_walk(*h.net, 6, 100, rng), 2u);
-    const auto *opts = h.net->router(7).routing_table().lookup({6, 100});
-    ASSERT_NE(opts, nullptr);
-    ASSERT_EQ(opts->size(), 1u);
-    EXPECT_EQ(opts->front().next_node, 8u);
+    EXPECT_EQ(table_walk(*h.net, 6, 100, 2, rng), 2u);
+    // Node 7's entry is keyed by the destination, not the flow, and
+    // keeps the flit's flow id.
+    EXPECT_EQ(h.net->router(7).routing_table().lookup({6, 100}), nullptr);
+    const auto &opts = h.net->router(7).routing_table().route(6, 100, 2);
+    ASSERT_EQ(opts.size(), 1u);
+    EXPECT_EQ(opts.front().next_node, 8u);
+    EXPECT_EQ(opts.front().next_flow, kKeepFlow);
+    EXPECT_EQ(&opts,
+              h.net->router(7).routing_table().lookup({6, dst_key(2)}));
 }
 
 TEST(BuildXy, SelfFlowDeliversLocally)
@@ -189,7 +196,7 @@ TEST(BuildXy, SelfFlowDeliversLocally)
     routing::build_xy(*h.net, flows);
     h.freeze();
     Rng rng(2);
-    EXPECT_EQ(table_walk(*h.net, 4, 5, rng), 4u);
+    EXPECT_EQ(table_walk(*h.net, 4, 5, 4, rng), 4u);
 }
 
 TEST(BuildXy, AllPairsReachDestination)
@@ -203,8 +210,60 @@ TEST(BuildXy, AllPairsReachDestination)
     h.freeze();
     Rng rng(3);
     for (const auto &f : flows)
-        ASSERT_EQ(table_walk(*h.net, f.src, f.id, rng), f.dst)
+        ASSERT_EQ(table_walk(*h.net, f.src, f.id, f.dst, rng), f.dst)
             << "flow " << f.id;
+}
+
+TEST(BuildXy, AllPairs16x16HoldsOneEntryPerNodePrevDestination)
+{
+    // All-pairs XY on 16x16: one entry per (node, prev, destination)
+    // reached by some flow — 130,560 — where one entry per flow and
+    // hop took 761,600.
+    auto topo = Topology::mesh2d(16, 16);
+    NetHarness h(topo);
+    std::vector<FlowSpec> flows;
+    for (NodeId s = 0; s < topo.num_nodes(); ++s)
+        for (NodeId d = 0; d < topo.num_nodes(); ++d)
+            if (s != d)
+                flows.push_back(
+                    {static_cast<FlowId>(s) * 256 + d, s, d, 1.0});
+    routing::build_xy(*h.net, flows);
+    h.freeze();
+    std::size_t entries = 0;
+    for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+        entries += h.net->router(n).routing_table().size();
+        EXPECT_EQ(h.net->router(n).routing_table().flow_keys(), 0u);
+        // Every flow is registered with its destination.
+        EXPECT_EQ(h.net->deliverable_flows(n).size(),
+                  topo.num_nodes() - 1);
+    }
+    EXPECT_EQ(entries, 130560u);
+}
+
+TEST(BuildXy, FlitWithoutDestinationEntryPanicsNamingIt)
+{
+    // Node 0 routes toward 2 only; a head flit bound for 5 has no
+    // (prev, dst) entry, and the panic must say which flit it was.
+    NetHarness h(Topology::mesh2d(3, 3));
+    routing::build_xy(*h.net, {{77, 0, 2, 1.0}});
+    h.freeze();
+    Router &r = h.net->router(0);
+    Flit f;
+    f.flow = 77;
+    f.original_flow = 77;
+    f.src = 0;
+    f.dst = 5;
+    f.head = f.tail = true;
+    f.arrival_cycle = 1;
+    r.injection_buffer(0).push(f);
+    try {
+        r.posedge(1);
+        FAIL() << "routed a flit that has no table entry";
+    } catch (const std::logic_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("prev=0 flow=77 dst=5"), std::string::npos)
+            << msg;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -242,7 +301,7 @@ TEST(BuildO1turn, WalksDeliverOnBothSubroutes)
     h.freeze();
     Rng rng(11);
     for (int i = 0; i < 200; ++i)
-        ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 15u);
+        ASSERT_EQ(table_walk(*h.net, 0, 7, 15, rng), 15u);
 }
 
 TEST(BuildO1turn, DegenerateRowStillDelivers)
@@ -253,7 +312,7 @@ TEST(BuildO1turn, DegenerateRowStillDelivers)
     h.freeze();
     Rng rng(13);
     for (int i = 0; i < 50; ++i)
-        ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 3u);
+        ASSERT_EQ(table_walk(*h.net, 0, 7, 3, rng), 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -307,8 +366,8 @@ TEST(BuildRomm, WalksAlwaysDeliver)
     h.freeze();
     Rng rng(17);
     for (int i = 0; i < 300; ++i) {
-        ASSERT_EQ(table_walk(*h.net, 1, 3, rng), 14u);
-        ASSERT_EQ(table_walk(*h.net, 15, 4, rng), 0u);
+        ASSERT_EQ(table_walk(*h.net, 1, 3, 14, rng), 14u);
+        ASSERT_EQ(table_walk(*h.net, 15, 4, 0, rng), 0u);
     }
 }
 
@@ -330,8 +389,8 @@ TEST(BuildRomm, PathsStayInMinimumRectangle)
             ASSERT_LE(topo.x_of(node), 3u);
             ASSERT_GE(topo.y_of(node), 1u);
             ASSERT_LE(topo.y_of(node), 2u);
-            const auto &r =
-                h.net->router(node).routing_table().pick({prev, fl}, rng);
+            const auto &r = h.net->router(node).routing_table().pick(
+                prev, fl, dst, rng);
             if (r.next_node == node)
                 break;
             prev = node;
@@ -357,7 +416,7 @@ TEST(BuildValiant, WalksDeliverAndLeaveRectangle)
         FlowId fl = f;
         for (int step = 0; step < 200; ++step) {
             const auto &r =
-                h.net->router(node).routing_table().pick({prev, fl}, rng);
+                h.net->router(node).routing_table().pick(prev, fl, 6, rng);
             if (r.next_node == node)
                 break;
             prev = node;
@@ -386,11 +445,10 @@ TEST(BuildProm, WeightsCountRemainingPaths)
     routing::build_prom(*h.net, flows);
     h.freeze();
     // At the source: 6 minimal paths total, 3 through each direction.
-    const auto *opts = h.net->router(0).routing_table().lookup({0, f});
-    ASSERT_NE(opts, nullptr);
-    ASSERT_EQ(opts->size(), 2u);
-    EXPECT_DOUBLE_EQ((*opts)[0].weight, 3.0);
-    EXPECT_DOUBLE_EQ((*opts)[1].weight, 3.0);
+    const auto &opts = h.net->router(0).routing_table().route(0, f, 8);
+    ASSERT_EQ(opts.size(), 2u);
+    EXPECT_DOUBLE_EQ(opts[0].weight, 3.0);
+    EXPECT_DOUBLE_EQ(opts[1].weight, 3.0);
 }
 
 TEST(BuildProm, WalksDeliverMinimally)
@@ -409,13 +467,13 @@ TEST(BuildProm, WalksDeliverMinimally)
         FlowId fl = f;
         std::uint32_t hops = 0;
         while (true) {
-            const auto &r =
-                h.net->router(node).routing_table().pick({prev, fl}, rng);
+            const auto &r = h.net->router(node).routing_table().pick(
+                prev, fl, dst, rng);
             if (r.next_node == node)
                 break;
             prev = node;
             node = r.next_node;
-            fl = r.next_flow;
+            ASSERT_EQ(r.next_flow, kKeepFlow); // PROM never renames
             ++hops;
             ASSERT_LE(hops, min_hops);
         }
@@ -442,7 +500,7 @@ TEST(BuildShortest, WorksOnRingAndTorus)
         h.freeze();
         Rng rng(31);
         for (const auto &fl : flows)
-            ASSERT_EQ(table_walk(*h.net, fl.src, fl.id, rng), fl.dst);
+            ASSERT_EQ(table_walk(*h.net, fl.src, fl.id, fl.dst, rng), fl.dst);
     }
 }
 
@@ -455,7 +513,8 @@ TEST(BuildShortest, WorksOnMultilayerMesh)
     routing::build_shortest(*h.net, flows);
     h.freeze();
     Rng rng(37);
-    EXPECT_EQ(table_walk(*h.net, flows[0].src, 1, rng), flows[0].dst);
+    EXPECT_EQ(table_walk(*h.net, flows[0].src, 1, flows[0].dst, rng),
+              flows[0].dst);
 }
 
 TEST(BuildStaticGreedy, SpreadsLoadAcrossPaths)
@@ -472,7 +531,7 @@ TEST(BuildStaticGreedy, SpreadsLoadAcrossPaths)
     Rng rng(41);
     // All delivered...
     for (const auto &fl : flows)
-        ASSERT_EQ(table_walk(*h.net, 0, fl.id, rng), 15u);
+        ASSERT_EQ(table_walk(*h.net, 0, fl.id, 15, rng), 15u);
     // ...and at least two distinct first hops are in use.
     std::set<NodeId> first_hops;
     for (const auto &fl : flows) {
@@ -531,14 +590,49 @@ TEST(VcaBuilders, StaticSetPinsFlowToOneVc)
     cfg.router.net_vcs = 4;
     NetHarness h(Topology::mesh2d(3, 3), cfg);
     std::vector<FlowSpec> flows{{101, 6, 2, 1.0}};
-    routing::build_xy(*h.net, flows);
+    routing::build_static_greedy(*h.net, flows);
     vca::build_static_set(*h.net);
     h.freeze();
+    // The injection hop of the greedy builder's path, whichever it is.
+    const auto &first = h.net->router(6).routing_table().route(6, 101, 2);
+    ASSERT_EQ(first.size(), 1u);
     const auto *v = h.net->router(6).vca_table().lookup(
-        VcaKey{6, 101, 7, 101});
+        VcaKey{6, 101, first.front().next_node, first.front().next_flow});
     ASSERT_NE(v, nullptr);
     ASSERT_EQ(v->size(), 1u);
     EXPECT_EQ(v->front().vc, 101u % 4u);
+}
+
+TEST(VcaBuilders, StaticSetRejectsDestinationEntries)
+{
+    // XY routes by destination: there is no flow to pin a VC to.
+    net::NetworkConfig cfg;
+    cfg.router.net_vcs = 4;
+    NetHarness h(Topology::mesh2d(3, 3), cfg);
+    routing::build_xy(*h.net, {{101, 6, 2, 1.0}});
+    try {
+        vca::build_static_set(*h.net);
+        FAIL() << "static-set VCA accepted destination entries";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("destination 2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("build_static_greedy"), std::string::npos)
+            << msg;
+    }
+}
+
+TEST(VcaBuilders, PhaseSplitLeavesDestinationEntriesDynamic)
+{
+    // Destination entries keep the flit's flow (kKeepFlow, phase byte
+    // 255): they must get no VCA entry, like unphased flows.
+    net::NetworkConfig cfg;
+    cfg.router.net_vcs = 4;
+    NetHarness h(Topology::mesh2d(3, 3), cfg);
+    routing::build_xy(*h.net, {{101, 6, 2, 1.0}});
+    vca::build_phase_split(*h.net);
+    h.freeze();
+    for (NodeId n = 0; n < h.net->num_nodes(); ++n)
+        EXPECT_EQ(h.net->router(n).vca_table().size(), 0u) << "node " << n;
 }
 
 TEST(VcaBuilders, DeliveryHopsStayDynamic)

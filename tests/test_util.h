@@ -52,8 +52,9 @@ make_mesh_system(std::uint32_t side, double rate, std::uint64_t seed,
 }
 
 /** side x side shuffle mesh with one injector per node, an explicit
- *  memory layout and network configuration. Giant-mesh suites use the shuffle pattern because
- *  flow tables are built per source-destination pair: all-pairs
+ *  memory layout and network configuration. Giant-mesh suites use the
+ *  shuffle pattern (one flow per source) because FlowSpecs and
+ *  deliverable-flow sets are per source-destination pair: all-pairs
  *  traffic would make construction quadratic in nodes. */
 inline std::unique_ptr<sim::System>
 make_big_mesh(std::uint32_t side, double rate, std::uint64_t seed,
