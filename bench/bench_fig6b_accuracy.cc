@@ -7,6 +7,7 @@
  */
 #include <cmath>
 #include <cstdio>
+#include <thread>
 
 #include "bench_util.h"
 
@@ -61,8 +62,9 @@ main()
     }
     std::printf("# paper shape: accuracy stays high (>90%%) at small "
                 "periods and degrades with larger ones\n");
-    std::printf("# host note: with a single hardware core the OS "
-                "serializes whole chunks, so large-period skew (and "
-                "its accuracy cost) is worst-case here\n");
+    std::printf("# host: %u hardware threads; with fewer than 2 the "
+                "OS serializes whole windows, which makes large-period "
+                "skew (and its accuracy cost) worst-case\n",
+                std::thread::hardware_concurrency());
     return 0;
 }

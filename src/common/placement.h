@@ -112,11 +112,12 @@ struct NodePlacement
  * Run @p fn(group) for every group in @p p. When @p p asks for
  * parallel construction (and has more than one group), each group runs
  * on its own thread with @p p.pin applied — this is what makes
- * first-touch placement happen. Otherwise the groups run serially on
- * the calling thread. @p fn must only write state owned by its group.
- * An exception thrown by @p fn on a group thread (e.g. a fatal() on a
- * bad configuration) is rethrown on the calling thread after every
- * group finished, lowest group first.
+ * first-touch placement happen; group 0's thread is the calling one,
+ * pinned only while it runs the group. Otherwise the groups run
+ * serially on the calling thread. @p fn must only write state owned by
+ * its group. An exception thrown by @p fn on any group (e.g. a fatal()
+ * on a bad configuration) is rethrown on the calling thread after
+ * every group finished, lowest group first.
  */
 void for_each_group(const NodePlacement &p,
                     const std::function<void(unsigned)> &fn);

@@ -132,15 +132,6 @@ Router::take_pending_wake()
     return p;
 }
 
-bool
-Router::has_ejection_flits() const
-{
-    for (const auto &b : ejection_)
-        if (b->size_raw() != 0)
-            return true;
-    return false;
-}
-
 void
 Router::connect_egress(PortId port, NodeId next_node,
                        std::vector<VcBuffer *> downstream,
@@ -550,6 +541,7 @@ Router::posedge(Cycle now)
         ep.downstream[st.out_vc]->push(f);
 
         if (ep.is_cpu) {
+            ++ejection_flits_;
             // Departed the last network egress port: sample delivered-
             // traffic statistics from the counters carried in the flit.
             ++stats_->flits_delivered;

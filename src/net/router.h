@@ -186,6 +186,16 @@ class Router : public sim::Clocked
 
     /** Ejection buffer drained by the local bridge (CPU egress). */
     VcBuffer &ejection_buffer(VcId vc);
+    /** Pop the front flit of ejection VC @p vc (the consumer must have
+     *  seen it via front_ready). Consumers pop through here, not
+     *  through the buffer, so the undrained count behind
+     *  has_ejection_flits() stays exact. */
+    Flit
+    pop_ejection(VcId vc)
+    {
+        --ejection_flits_;
+        return ejection_[vc]->pop();
+    }
     /** Number of ejection (CPU-egress) VCs. */
     std::uint32_t num_ejection_vcs() const { return cfg_.cpu_vcs; }
 
@@ -268,10 +278,10 @@ class Router : public sim::Clocked
      */
     Cycle take_pending_wake();
 
-    /** Any flit sitting in an ejection buffer, drained or not (owner
+    /** Any flit sitting in an ejection buffer, visible or not (owner
      *  thread; the tile keeps frontends awake while this holds, so
      *  delivered flits are always drained on time). */
-    bool has_ejection_flits() const;
+    bool has_ejection_flits() const { return ejection_flits_ != 0; }
 
     // ------------------------------------------------------------------
     // Bidirectional links (paper II-A4; net/link.h).
@@ -562,6 +572,10 @@ class Router : public sim::Clocked
     std::vector<IngressPort> ingress_;
     std::vector<EgressPort *> egress_;
     std::vector<VcBuffer *> ejection_;
+    /// Flits pushed into the ejection buffers and not yet popped: the
+    /// stage-B push counts up, pop_ejection() counts down. Plain: the
+    /// router and the frontends that drain it run on the tile's thread.
+    std::uint32_t ejection_flits_ = 0;
 
     /** (port, vc) pairs whose ownership releases at the next negedge. */
     std::vector<std::pair<PortId, VcId>> pending_releases_;

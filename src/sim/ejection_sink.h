@@ -29,7 +29,7 @@ class EjectionSink : public Frontend
         for (VcId v = 0; v < router_->num_ejection_vcs(); ++v) {
             auto &buf = router_->ejection_buffer(v);
             while (buf.front_ready(now) != nullptr) {
-                buf.pop();
+                router_->pop_ejection(v);
                 popped_ |= std::uint64_t{1} << v;
             }
         }

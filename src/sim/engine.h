@@ -328,7 +328,7 @@ class Shard final : public Tile::WakeSink
     void cycle_begin();
 
     /// Wake-mailbox ring capacity per shard. The owning thread drains
-    /// every cycle while it runs, but a shard parked at the rendezvous
+    /// every cycle while it runs, but a shard waiting at the rendezvous
     /// barrier drains nothing while its neighbours free-run a whole
     /// window — so the ring is sized for a window's worth of
     /// cross-shard pushes in common configs (boundary buffers x

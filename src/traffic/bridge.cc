@@ -106,7 +106,7 @@ Bridge::posedge(Cycle now)
         while (rx_budget > 0) {
             if (buf.front_ready(now) == nullptr)
                 break;
-            const net::Flit f = buf.pop();
+            const net::Flit f = router_->pop_ejection(v);
             rx_popped_ |= std::uint64_t{1} << v;
             --rx_budget;
             ++rx_backlog_flits_;

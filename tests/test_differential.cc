@@ -4,7 +4,9 @@
  * of small random systems — topology, VC configuration, routing
  * scheme, injection process, sync policy, batching, fast-forward —
  * each run under {poll, event-fine} x {1, 2, 4 threads} and checked
- * against the sequential polling reference. Every run also ends with
+ * against the sequential polling reference. A fixed 8x8 lockstep case
+ * adds 8 threads, more than small hosts have CPUs, so the barrier's
+ * park path runs under the real engine too. Every run also ends with
  * the routers' reference full scan: each non-empty ingress buffer
  * must still have its occupancy-mask bit.
  *
@@ -426,6 +428,32 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
     // The generator must keep exercising the bitwise multi-thread
     // path, not just loose conservation runs.
     EXPECT_GT(lockstep_configs, n / 4);
+}
+
+TEST(Differential, OversubscribedLockstepIsBitwise)
+{
+    // Eight shards on a host with fewer CPUs: the barrier parks its
+    // waiters instead of spinning, so this is the path that carries
+    // the real leader plan and the wake mailbox through futex
+    // sleeps. Bitwise against the sequential polling reference, with
+    // and without window batching.
+    for (bool batch : {false, true}) {
+        DiffConfig c;
+        c.w = c.h = 8;
+        c.pattern = "transpose";
+        c.rate = 0.15;
+        c.stop_at = 300;
+        c.horizon = 600;
+        c.batch = batch;
+        SCOPED_TRACE(c.describe());
+        SystemStats ref_stats;
+        const std::string ref =
+            run_variant(c, Schedule::Poll, 1, &ref_stats);
+        ASSERT_GT(ref_stats.total.packets_delivered, 0u);
+        for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
+            EXPECT_EQ(run_variant(c, sched, 8), ref)
+                << "sched=" << static_cast<int>(sched);
+    }
 }
 
 TEST(Differential, LooseBidirectionalLinksConserveFlits)

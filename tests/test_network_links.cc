@@ -235,7 +235,7 @@ TEST(Router, ResetClearsPublishedDemand)
     ASSERT_GT(a.published_demand(0, 2), 0u);
     // Drain the delivered flit so the routers may be reset.
     ASSERT_EQ(b.ejection_buffer(0).size_raw(), 1u);
-    b.ejection_buffer(0).pop();
+    b.pop_ejection(0);
     b.ejection_buffer(0).commit_negedge();
     ASSERT_FALSE(h.net->has_buffered_flits());
 
