@@ -11,10 +11,15 @@
  * rendezvous barriers per simulated cycle, and loose synchronization
  * one per window, so the gap between the two modes is the barrier's
  * cost. Rows with more threads than the host has CPUs time-slice.
- * Measured rows are in docs/BENCHMARKS.md.
+ * Each row is a median over three rounds of 1-, 2- and 4-thread runs
+ * (about 3 minutes in all on a 4-vCPU host). Measured rows are in
+ * docs/BENCHMARKS.md.
  */
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "mips/core.h"
@@ -51,6 +56,43 @@ run_blackscholes(unsigned threads, std::uint32_t sync)
         [&] { m.run_until_done(3000000, threads, sync); });
 }
 
+/** Median of @p v (odd sizes; the upper middle otherwise). */
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * Time @p run at 1, 2 and 4 threads, back to back, in each of kRounds
+ * rounds, and print one row per thread count: the median wall time and
+ * the median of the per-round speedups over that round's 1-thread run.
+ * Host speed drifts between rounds on a shared VM; a round's runs are
+ * seconds apart, so its ratio sees one host speed.
+ */
+template <typename Run>
+void
+speedup_rows(const char *workload, const char *sync_name, Run run)
+{
+    constexpr int kRounds = 3;
+    const unsigned thread_counts[] = {1, 2, 4};
+    std::vector<double> walls[3], ratios[3];
+    for (int round = 0; round < kRounds; ++round) {
+        double base = 0.0;
+        for (int i = 0; i < 3; ++i) {
+            const double w = run(thread_counts[i]);
+            if (i == 0)
+                base = w;
+            walls[i].push_back(w);
+            ratios[i].push_back(base / w);
+        }
+    }
+    for (int i = 0; i < 3; ++i)
+        std::printf("%s,%s,%u,%.3f,%.2f\n", workload, sync_name,
+                    thread_counts[i], median(walls[i]), median(ratios[i]));
+}
+
 } // namespace
 
 int
@@ -60,33 +102,24 @@ main()
     std::printf("# host: %u hardware threads; rows with more threads "
                 "than that time-slice\n",
                 std::thread::hardware_concurrency());
-    std::printf(
-        "workload,sync,threads,wall_s,speedup_vs_1thread\n");
+    std::printf("# medians over 3 rounds; each round runs 1, 2 and 4 "
+                "threads back to back, and its speedups divide by its "
+                "own 1-thread run\n");
+    std::printf("workload,sync,threads,wall_s,speedup_vs_1thread\n");
 
-    const unsigned thread_counts[] = {1, 2, 4};
     for (const char *sync_name : {"cycle-accurate", "5-cycle"}) {
-        std::uint32_t sync =
+        const std::uint32_t sync =
             std::string(sync_name) == "cycle-accurate" ? 1 : 5;
-        double base = 0.0;
-        for (unsigned t : thread_counts) {
-            double w = run_synthetic(t, sync);
-            if (t == 1)
-                base = w;
-            std::printf("shuffle-16x16,%s,%u,%.3f,%.2f\n", sync_name, t,
-                        w, base / w);
-        }
+        speedup_rows("shuffle-16x16", sync_name, [&](unsigned t) {
+            return run_synthetic(t, sync);
+        });
     }
     for (const char *sync_name : {"cycle-accurate", "5-cycle"}) {
-        std::uint32_t sync =
+        const std::uint32_t sync =
             std::string(sync_name) == "cycle-accurate" ? 1 : 5;
-        double base = 0.0;
-        for (unsigned t : thread_counts) {
-            double w = run_blackscholes(t, sync);
-            if (t == 1)
-                base = w;
-            std::printf("blackscholes-mips-8x8,%s,%u,%.3f,%.2f\n",
-                        sync_name, t, w, base / w);
-        }
+        speedup_rows("blackscholes-mips-8x8", sync_name, [&](unsigned t) {
+            return run_blackscholes(t, sync);
+        });
     }
     std::printf("# paper shape: near-linear scaling up to 6 same-die "
                 "cores (cycle-accurate); loose sync needed to scale "

@@ -37,17 +37,20 @@ BENCHMARK(BM_VcBufferPushPop);
 void
 BM_RoutingTableLookup(benchmark::State &state)
 {
-    // Destination entries, as build_xy installs them: the flow probe is
-    // skipped (no flow keys) and route() answers from the destination.
-    net::RoutingTable table(0);
-    for (NodeId d = 0; d < 1024; ++d)
-        table.add({d % 5, net::dst_key(d)},
-                  net::RouteResult{1, net::kKeepFlow, 1.0});
+    // Destination entries, as build_xy installs them on a 32x32 mesh
+    // router with four neighbours: the flow probe is skipped (no flow
+    // keys), and the router's hot path names the input by port index.
+    net::RoutingTable table(0, {1, 2, 3, 4});
+    for (NodeId d = 0; d < 1024; ++d) {
+        const net::RouteResult step{1 + d % 4, net::kKeepFlow, 1.0};
+        table.add_destination(d % 5, d, &step, 1);
+    }
     table.freeze();
     Rng rng(3);
     NodeId d = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(table.pick(d % 5, FlowId{d}, d, rng));
+        const auto &opts = table.route_input((d + 4) % 5, d % 5, FlowId{d}, d);
+        benchmark::DoNotOptimize(table.pick_from(opts, rng));
         d = (d + 1) % 1024;
     }
 }

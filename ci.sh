@@ -9,7 +9,9 @@
 #                      # plus the full differential sweep
 #   ./ci.sh --asan     # AddressSanitizer+UBSan build of the suite
 #   ./ci.sh --bench    # perf-regression smoke: bench --quick --json vs
-#                      # bench/baselines/, hard-gated (>15% fails)
+#                      # bench/baselines/, hard-gated (>15% fails),
+#                      # plus a 150 MB peak-RSS gate on 32x32
+#                      # all-pairs XY
 #   ./ci.sh --e2e      # end-to-end benchmark checks: digests,
 #                      # conservation and determinism on short runs
 #   ./ci.sh --coverage # gcov line-coverage run with a summary artifact
@@ -137,7 +139,7 @@ if [[ "${1:-}" == "--bench" ]]; then
     cmake -B build -S .
     cmake --build build -j "$JOBS" \
         --target bench_vc_buffer bench_event_driven bench_job_engine \
-        bench_topology_gallery
+        bench_topology_gallery example_footprint_study
     mkdir -p build/bench-reports
     check_bench() { # <name>: run <name> --quick and compare
         local name="$1" attempt
@@ -159,6 +161,20 @@ if [[ "${1:-}" == "--bench" ]]; then
     check_bench bench_event_driven
     check_bench bench_job_engine
     check_bench bench_topology_gallery
+    # Memory gate: all-pairs XY on a 32x32 mesh (uniform 0.01, 200
+    # cycles) must peak under 150 MB of RSS. Destination routes and
+    # per-flow statistics are what grow with all-pairs traffic; the
+    # dense destination store keeps it near 100 MB (455 MB with
+    # hashed destination keys).
+    echo "== memory gate: 32x32 all-pairs XY peak RSS under 150 MB =="
+    ./build/example_footprint_study all-pairs 32 |
+        tee build/bench-reports/footprint-all-pairs-32.txt
+    awk '/^peak_rss_mb/ { seen = 1; if ($2 >= 150) bad = 1 }
+         END { exit !(seen && !bad) }' \
+        build/bench-reports/footprint-all-pairs-32.txt || {
+        echo "32x32 all-pairs XY peak RSS is not under 150 MB"
+        exit 1
+    }
     echo "BENCH OK"
     exit 0
 fi
@@ -225,7 +241,7 @@ echo "== ctest (full differential sweep, label 'long') =="
 # bitwise identical across them, bidirectional links included, while
 # event-fine sleeps tiles, and 32x32 all-pairs XY must build, freeze
 # and run on destination-keyed tables (2,095,104 entries, under
-# 512 KiB of arena per tile). Named so a failure at this scale is
+# 128 KiB of arena per tile). Named so a failure at this scale is
 # unmistakable in the log.
 echo "== giant-mesh smoke (64x64 arena layout, 32x32 bitwise + bidirectional, both schedulers, 32x32 all-pairs XY tables) =="
 ./build/test_big_mesh \

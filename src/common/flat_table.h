@@ -2,9 +2,9 @@
  * @file
  * Build-once open-addressing lookup table for the per-flit hot path.
  *
- * The routing and VC-allocation tables (net::OptionTable) and the
- * per-tile flow-statistics index are immutable at run time. FlatTable
- * is the frozen form they compile into after construction:
+ * The routing flow entries and the VC-allocation tables
+ * (net::OptionTable) are immutable at run time. FlatTable is the
+ * frozen form they compile into after construction:
  *
  *  - linear-probe open addressing over a power-of-two slot array at
  *    <= 50% load, so a lookup is one hash, one masked index, and a

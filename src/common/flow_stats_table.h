@@ -1,6 +1,6 @@
 /**
  * @file
- * Dense per-tile flow-statistics index (ROADMAP: "Close the remaining
+ * Dense per-tile flow statistics (ROADMAP: "Close the remaining
  * per-flit cost").
  *
  * Per-flow delivery statistics used to live in a per-tile
@@ -8,11 +8,11 @@
  * while the simulation ran, on the delivered-flit hot path. But the
  * set of flows a tile can deliver is known once the routing tables are
  * built: it is the flows the routing builders registered with the
- * tile's node as destination (net::Network::deliverable_flows).
- * FlowStatsTable freezes that set into a FlowId -> slot index (a
- * single-probe common::FlatTable) plus a dense FlowStats array carved
- * from the tile's placement-group arena, so the hot path is one probe
- * and an array index, with no run-time growth. Flows first seen mid-run
+ * tile's node as destination (net::Network::deliverable_flows, kept
+ * sorted and without repeats). FlowStatsTable freezes onto that array
+ * — a view, not a copy — plus a dense FlowStats array carved from the
+ * tile's placement-group arena, so the hot path is a binary search and
+ * an array index, with no run-time growth. Flows first seen mid-run
  * fall back to an overflow map, preserving exact behaviour: trace or
  * bridge traffic routed outside the frozen tables, and flows whose
  * routes were installed by hand (install_single_phase_path,
@@ -30,18 +30,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/flat_table.h"
+#include "common/arena.h"
+#include "common/log.h"
 #include "common/stats.h"
 #include "common/types.h"
 
 namespace hornet::common {
 
-/** Mixing hash for FlowId slot placement (identity hashing would fold
- *  phase bits out under the power-of-two mask). */
+/** Mixing hash for the overflow map's FlowId keys. */
 struct FlowIdHash
 {
     /** splitmix64-style mix of the flow id. */
@@ -57,33 +58,30 @@ struct FlowIdHash
 };
 
 /**
- * Frozen-index flow-statistics container (see the file comment).
- * Unfrozen it degrades to the overflow map alone, i.e. exactly the
- * historical unordered_map behaviour (standalone routers in tests and
- * micro benches never freeze).
+ * Frozen flow-statistics container (see the file comment). Unfrozen
+ * it degrades to the overflow map alone, i.e. exactly the historical
+ * unordered_map behaviour (standalone routers in tests and micro
+ * benches never freeze).
  */
 class FlowStatsTable
 {
   public:
     /**
-     * Freeze the dense index over @p flows (duplicates welcome; the
-     * set is sorted and deduplicated here, so slot order — and hence
-     * arena layout — is deterministic). Slots and the index come from
-     * @p arena (the owning tile's placement-group arena; null falls
-     * back to heap storage). Idempotent per table: refreezing replaces
-     * nothing (first freeze wins).
+     * Freeze the dense slots over @p flows, which must be sorted and
+     * free of repeats (panics otherwise) and must outlive the table:
+     * the table reads them in place. Slots come from @p arena (the
+     * owning tile's placement-group arena; null falls back to heap
+     * storage). Idempotent per table: refreezing replaces nothing
+     * (first freeze wins).
      */
     void
-    freeze(std::vector<FlowId> flows, Arena *arena = nullptr)
+    freeze(std::span<const FlowId> flows, Arena *arena = nullptr)
     {
         if (frozen_)
             return;
-        std::sort(flows.begin(), flows.end());
-        flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
-        index_.begin_build(flows.size(), flows.size(), arena);
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(flows.size()); ++i)
-            index_.add_entry(flows[i], &i, 1);
+        if (std::adjacent_find(flows.begin(), flows.end(),
+                               std::greater_equal<>()) != flows.end())
+            panic("flow stats: freeze() needs sorted, distinct flow ids");
         if (arena != nullptr) {
             dense_ = arena->make_array<FlowStats>(
                 std::max<std::size_t>(1, flows.size()));
@@ -91,7 +89,7 @@ class FlowStatsTable
             heap_dense_.assign(flows.size(), FlowStats{});
             dense_ = heap_dense_.data();
         }
-        dense_flows_ = std::move(flows);
+        dense_flows_ = flows;
         frozen_ = true;
     }
 
@@ -106,14 +104,16 @@ class FlowStatsTable
 
     /**
      * Statistics slot of @p flow (the delivered-flit hot path): a
-     * single probe into the frozen index and an array access, or the
+     * binary search of the frozen flow ids and an array access, or the
      * overflow map for flows outside the frozen set.
      */
     FlowStats &
     at(FlowId flow)
     {
-        if (const auto *e = index_.lookup(flow))
-            return dense_[e->front()];
+        const auto it = std::lower_bound(dense_flows_.begin(),
+                                         dense_flows_.end(), flow);
+        if (it != dense_flows_.end() && *it == flow)
+            return dense_[it - dense_flows_.begin()];
         return overflow_[flow];
     }
 
@@ -135,7 +135,7 @@ class FlowStatsTable
             fn(flow, fs);
     }
 
-    /** Reset all recorded statistics; the frozen index is retained
+    /** Reset all recorded statistics; the frozen slots are retained
      *  (warmup-then-measure runs keep their slot mapping). */
     void
     clear()
@@ -147,12 +147,10 @@ class FlowStatsTable
 
   private:
     bool frozen_ = false;
-    /** FlowId -> dense slot, frozen single-probe index. */
-    FlatTable<FlowId, std::uint32_t, FlowIdHash> index_;
-    /** Dense statistics slots, indexed by the frozen mapping. */
+    /** Dense statistics slots, one per frozen flow id. */
     FlowStats *dense_ = nullptr;
-    /** Slot -> flow id (sorted), the iteration view of the index. */
-    std::vector<FlowId> dense_flows_;
+    /** The frozen flow ids, sorted (slot i holds flow i's stats). */
+    std::span<const FlowId> dense_flows_;
     /** Backing storage when no arena was supplied at freeze(). */
     std::vector<FlowStats> heap_dense_;
     /** Flows first seen mid-run. */

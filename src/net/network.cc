@@ -98,7 +98,22 @@ Network::register_flows(const std::vector<FlowSpec> &flows)
         if (f.src >= num_nodes() || f.dst >= num_nodes())
             fatal(strcat("flow ", f.id, ": endpoint ", f.src, " -> ", f.dst,
                          " outside the ", num_nodes(), "-node network"));
-        deliverable_[f.dst].push_back(f.id);
+        // The destination tile's flow statistics read its ids in place
+        // once the tables freeze.
+        if (routers_[f.dst]->routing_table().frozen())
+            panic(strcat("flow ", f.id, ": registered after node ", f.dst,
+                         "'s routing table froze"));
+        // The flow sets of traffic/flows.h list each destination's ids
+        // in ascending order, so the sorted insert is almost always an
+        // append.
+        std::vector<FlowId> &ids = deliverable_[f.dst];
+        if (ids.empty() || ids.back() < f.id) {
+            ids.push_back(f.id);
+            continue;
+        }
+        const auto at = std::lower_bound(ids.begin(), ids.end(), f.id);
+        if (*at != f.id)
+            ids.insert(at, f.id);
     }
 }
 

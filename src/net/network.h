@@ -79,17 +79,19 @@ class Network
      * Record @p flows as routed on this network: each flow id joins
      * the deliverable set of its destination. Every routing builder
      * registers the flows it installs; registering a flow twice is
-     * harmless. Construction time only (not thread-safe); fatal() on
-     * an endpoint outside the network.
+     * harmless. Construction time only (not thread-safe): panics once
+     * the destination's routing table is frozen, and fatal() on an
+     * endpoint outside the network.
      */
     void register_flows(const std::vector<FlowSpec> &flows);
 
     /**
-     * Ids of the flows registered with destination @p n, in
-     * registration order (repeats possible): the flows the tile of
-     * @p n can deliver, which sim::System::freeze_tables() freezes
-     * into its flow-stats index. Read-only after construction, so any
-     * thread may read it while placement groups freeze in parallel.
+     * Ids of the flows registered with destination @p n, sorted and
+     * without repeats: the flows the tile of @p n can deliver. The one
+     * copy of them: sim::System::freeze_tables() freezes the tile's
+     * flow statistics onto this array, and blueprint instances onto
+     * their donor's. Read-only after construction, so any thread may
+     * read it while placement groups freeze in parallel.
      */
     const std::vector<FlowId> &
     deliverable_flows(NodeId n) const
@@ -104,7 +106,7 @@ class Network
     /// below live in it (or in the caller's arenas).
     std::unique_ptr<common::Arena> own_arena_;
     std::vector<Router *> routers_;
-    /// Registered flow ids by destination (register_flows).
+    /// Registered flow ids by destination, sorted (register_flows).
     std::vector<std::vector<FlowId>> deliverable_;
 };
 

@@ -182,6 +182,15 @@ class OptionTable
                       ", max probe ", flat_.max_probe());
     }
 
+  protected:
+    /** The panic behind every read of an unfrozen table. */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    panic_unfrozen(const char *read) const
+    {
+        panic(strcat("option table: ", read, " before freeze() (",
+                     describe(), ")"));
+    }
+
   private:
     /** One add() call, kept until freeze(). */
     struct Record
@@ -196,14 +205,6 @@ class OptionTable
     {
         a.weight = b.weight;
         return a == b;
-    }
-
-    /** The panic behind every read of an unfrozen table. */
-    [[noreturn, gnu::cold, gnu::noinline]] void
-    panic_unfrozen(const char *read) const
-    {
-        panic(strcat("option table: ", read, " before freeze() (",
-                     describe(), ")"));
     }
 
     std::vector<Record> records_;

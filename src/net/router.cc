@@ -20,7 +20,7 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
         fatal(strcat("router ", id_, ": at most ", kMaxVcsPerPort,
                      " VCs per port (one occupancy-mask word), got ",
                      cfg_.net_vcs, " network / ", cfg_.cpu_vcs, " CPU"));
-    table_ = RoutingTable(id);
+    table_ = RoutingTable(id, neighbors);
 
     // The router's buffers and egress ports go back-to-back into the
     // caller's arena, so all of one shard's hot flit storage ends up
@@ -243,9 +243,12 @@ Router::egress_port_to(NodeId next) const
 void
 Router::do_route_compute(IngressPort &ip, VcState &st, const Flit &f)
 {
-    // One route() serves both the option scan and the weighted pick
-    // below (pick_from). Destination entries keep the flit's flow.
-    const auto &opts = table_.route(ip.prev_node, f.flow, f.dst);
+    // One route lookup serves both the option scan and the weighted
+    // pick below (pick_from). The ingress port's index is its routing
+    // input. Destination entries keep the flit's flow.
+    const auto &opts = table_.route_input(
+        static_cast<std::uint32_t>(&ip - ingress_.data()), ip.prev_node,
+        f.flow, f.dst);
 
     const RouteResult *chosen = nullptr;
     if (cfg_.adaptive_routing && opts.size() > 1) {

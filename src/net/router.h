@@ -121,8 +121,9 @@ class Router : public sim::Clocked
     void freeze_routing_table() { table_.freeze(arena_); }
 
     /**
-     * Compile the routing and VCA tables into their frozen flat forms
-     * (common::FlatTable), carving storage from the arena this router
+     * Compile the routing and VCA tables into their frozen forms
+     * (common::FlatTable, net::DestinationStore), carving storage
+     * from the arena this router
      * was constructed into, so its per-flit probes stay in its own
      * placement group's cache/NUMA lines. Called by sim::System before
      * the first run, once table building is complete; idempotent.
@@ -142,8 +143,8 @@ class Router : public sim::Clocked
      * blueprint prototype's router for the same node — must already be
      * frozen and must outlive this router. After adoption the tables
      * report frozen() and add() panics, exactly as after a private
-     * freeze; lookups are bitwise identical because they probe the
-     * very same flat tables.
+     * freeze; lookups are bitwise identical because they read the
+     * very same frozen arrays.
      */
     void
     adopt_tables(const Router &donor)

@@ -56,8 +56,9 @@ build_xy(Network &net, const std::vector<FlowSpec> &flows)
             else if (y != dy)
                 y = y < dy ? y + 1 : y - 1;
             const NodeId next = topo.node_at(x, y);
-            net.router(node).routing_table().add(
-                {prev, dst_key(dst)}, RouteResult{next, kKeepFlow, 1.0});
+            const RouteResult step{next, kKeepFlow, 1.0};
+            net.router(node).routing_table().add_destination(prev, dst,
+                                                             &step, 1);
             if (next == node)
                 break; // delivered
             prev = node;

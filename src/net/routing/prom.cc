@@ -92,23 +92,27 @@ build_prom(Network &net, const std::vector<FlowSpec> &flows)
                 if (j > 0)
                     prevs[n_prevs++] = at(ux, uy - step_y);
 
+                // Delivery, or the x-step then the y-step; computed
+                // once u has an unclaimed prev.
+                RouteResult opts[2];
+                std::size_t n_opts = 0;
                 for (std::size_t k = 0; k < n_prevs; ++k) {
                     if (!groups.claim(u, prevs[k]))
                         continue;
-                    RoutingTable &tbl = net.router(u).routing_table();
-                    const RouteKey key{prevs[k], dst_key(dst)};
-                    if (rx == 0 && ry == 0) {
-                        tbl.add(key, RouteResult{u, kKeepFlow, 1.0});
-                        continue;
+                    if (n_opts == 0) {
+                        if (rx == 0 && ry == 0)
+                            opts[n_opts++] = {u, kKeepFlow, 1.0};
+                        if (rx > 0)
+                            opts[n_opts++] = {at(ux + step_x, uy),
+                                              kKeepFlow,
+                                              binom(rx - 1 + ry, ry)};
+                        if (ry > 0)
+                            opts[n_opts++] = {at(ux, uy + step_y),
+                                              kKeepFlow,
+                                              binom(rx + ry - 1, rx)};
                     }
-                    if (rx > 0)
-                        tbl.add(key, RouteResult{at(ux + step_x, uy),
-                                                 kKeepFlow,
-                                                 binom(rx - 1 + ry, ry)});
-                    if (ry > 0)
-                        tbl.add(key, RouteResult{at(ux, uy + step_y),
-                                                 kKeepFlow,
-                                                 binom(rx + ry - 1, rx)});
+                    net.router(u).routing_table().add_destination(
+                        prevs[k], dst, opts, n_opts);
                 }
             }
         }

@@ -8,8 +8,11 @@ namespace hornet::net::vca {
 namespace {
 
 /**
- * Apply @p fn to every non-delivery transition of every routing table,
+ * Apply @p fn to every non-delivery transition of every flow entry,
  * freezing each routing table (into its router's arena) first.
+ * Destination entries (build_xy, build_prom) are not visited: they
+ * never rename the flow, so their VCs stay dynamic, like an unphased
+ * flow's.
  */
 template <typename Fn>
 void
@@ -41,11 +44,6 @@ build_phase_split(Network &net)
 
     for_each_transition(net, [&](Router &r, const RouteKey &key,
                                  const RouteResult &res) {
-        // Destination entries never rename (their next_flow is
-        // kKeepFlow, whose phase byte reads 255): dynamic, like the
-        // unphased flows.
-        if (is_dst_key(key.flow))
-            return;
         const std::uint32_t phase = flowid::phase_of(res.next_flow);
         if (phase == 0)
             return; // unphased flows stay dynamic
@@ -61,15 +59,21 @@ void
 build_static_set(Network &net)
 {
     const std::uint32_t vcs = net.config().router.net_vcs;
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+        Router &r = net.router(n);
+        r.freeze_routing_table();
+        r.routing_table().for_each_destination(
+            [&](NodeId prev, NodeId dst, const RoutingTable::Options &) {
+                fatal(strcat("static-set VCA pins VCs per flow, but node ",
+                             n, " routes destination ", dst,
+                             " from prev ", prev,
+                             " by destination (build_xy/build_prom); use "
+                             "a flow-keyed builder such as "
+                             "build_static_greedy"));
+            });
+    }
     for_each_transition(net, [&](Router &r, const RouteKey &key,
                                  const RouteResult &res) {
-        if (is_dst_key(key.flow))
-            fatal(strcat("static-set VCA pins VCs per flow, but node ",
-                         r.id(), " routes destination ",
-                         flowid::base_of(key.flow), " from prev ",
-                         key.prev_node,
-                         " by destination (build_xy/build_prom); use a "
-                         "flow-keyed builder such as build_static_greedy"));
         VcaKey vk{key.prev_node, key.flow, res.next_node, res.next_flow};
         const VcId v = static_cast<VcId>(
             flowid::base_of(res.next_flow) % vcs);

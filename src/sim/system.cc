@@ -171,17 +171,18 @@ System::freeze_tables()
         return;
     const std::uint32_t n = static_cast<std::uint32_t>(tiles_.size());
 #ifdef __GLIBC__
-    // The build records that the table freezes below free were
-    // allocated on this thread. glibc keeps freed small blocks mapped,
-    // and the group threads allocate from their own malloc arenas, so
-    // nothing would reuse the records: they would stay resident under
-    // every frozen table. When they are large (all-pairs traffic: 5 MiB
-    // on 16x16; on 32x32 they cost about 80 MB of peak RSS), one trim
-    // between the two passes hands their pages back. Small builds
-    // (pattern traffic on 32x32 frees under 1 MiB) skip it: a trim
-    // returns every other free page too, which later allocations fault
-    // back in, and on the mesh32-sparse e2e workload that added about
-    // 10% to set-up time.
+    // The build records that the table freezes below free (flow
+    // records and destination records, RoutingTable::record_bytes)
+    // were allocated on this thread. glibc keeps freed small blocks
+    // mapped, and the group threads allocate from their own malloc
+    // arenas, so nothing would reuse the records: they would stay
+    // resident under every frozen table. When they are large (XY
+    // all-pairs traffic on 32x32: 31.3 MiB), one trim between the two
+    // passes hands their pages back. Small builds (1.95 MiB for
+    // all-pairs on 16x16, 0.42 MiB for pattern traffic on 32x32) skip
+    // it: a trim returns every other free page too, which later
+    // allocations fault back in, and on the mesh32-sparse e2e workload
+    // that added about 10% to set-up time.
     constexpr std::size_t kTrimRecordBytes = std::size_t{4} << 20;
     std::size_t record_bytes = 0;
     for (NodeId i = 0; i < n; ++i) {
@@ -296,8 +297,8 @@ System::collect_stats() const
     for (const auto *t : tiles_) {
         out.per_tile.push_back(t->stats());
         out.total.merge(t->stats());
-        // Tile flow stats live in the dense frozen-index table (hot
-        // path); the ordered view is produced here, at merge time, by
+        // Tile flow stats live in the dense frozen table (hot path);
+        // the ordered view is produced here, at merge time, by
         // the per_flow std::map. Accumulation is deterministic
         // regardless of within-tile iteration order: each flow appears
         // at most once per tile (dense XOR overflow), and tiles merge

@@ -160,11 +160,11 @@ class System
 
     /**
      * Compile the per-flit lookup structures: every router's routing
-     * and VCA tables freeze into their flat single-probe forms, and
-     * every tile's deliverable-flow set (the flows the routing
-     * builders registered with it as destination,
-     * net::Network::deliverable_flows) freezes into the dense
-     * flow-stats index — all carved from the owning placement group's
+     * and VCA tables freeze into their frozen forms, and every tile's
+     * flow statistics freeze onto its deliverable-flow ids (the flows
+     * the routing builders registered with it as destination,
+     * net::Network::deliverable_flows) — all carved from the owning
+     * placement group's
      * arena, on that group's construction thread. Routing tables a VCA
      * builder already froze (on the builder's thread) stay as they
      * are. Called automatically before the first run once table
@@ -175,9 +175,9 @@ class System
     /**
      * Adopt another System's frozen lookup tables instead of freezing
      * our own (the SystemBlueprint seam): every router's routing and
-     * VCA tables share @p donor's read-only flat storage
-     * (net::OptionTable::adopt), and every tile's flow-stats index
-     * freezes from the donor's registered deliverable-flow sets —
+     * VCA tables share @p donor's read-only frozen storage
+     * (net::RoutingTable::adopt), and every tile's flow statistics
+     * freeze onto the donor's registered deliverable-flow ids —
      * skipping both the table build and the freeze compilation, the
      * dominant cost of System construction. Runs per placement group
      * on that group's construction thread, like freeze_tables(). The

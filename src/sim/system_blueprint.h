@@ -7,10 +7,10 @@
  * repeats work whose result is identical each time: walking the
  * topology in the routing/VCA builders and compiling the tables into
  * their frozen flat forms. SystemBlueprint factors that work out: it
- * owns a frozen *prototype* System whose read-only flat tables every
- * instantiated System adopts as views (net::OptionTable::adopt), and
- * whose registered deliverable-flow sets size their flow-stats
- * indexes, so per-run construction is reduced to the genuinely
+ * owns a frozen *prototype* System whose read-only frozen tables every
+ * instantiated System adopts as views (net::RoutingTable::adopt), and
+ * whose registered deliverable-flow ids their flow statistics freeze
+ * onto, so per-run construction is reduced to the genuinely
  * per-run half — tiles, routers, buffers and frontends. Instantiated
  * systems are independent otherwise and may run concurrently on
  * different threads; sim::JobEngine packs them onto a worker pool.

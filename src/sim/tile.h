@@ -83,9 +83,9 @@ class Tile : public Wakeable
     /** Tile-private statistics sink (read-only). */
     const TileStats &stats() const { return stats_; }
 
-    /** Per-flow delivery statistics: a dense frozen-index table (hot
-     *  per-flit path; sim::System freezes the deliverable-flow set
-     *  before the first run). The ordered view is produced at
+    /** Per-flow delivery statistics: a dense frozen table (hot
+     *  per-flit path; sim::System freezes it onto the deliverable-flow
+     *  ids before the first run). The ordered view is produced at
      *  stats-merge time. */
     common::FlowStatsTable &flow_stats() { return flow_stats_; }
     /** Per-flow delivery statistics (read-only). */

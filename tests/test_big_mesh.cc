@@ -11,7 +11,8 @@
  * FlowSpecs and deliverable-flow sets are per source-destination pair,
  * so all-pairs traffic ("uniform") is quadratic in nodes. The one
  * all-pairs case (labelled `long`) pins the size of destination-keyed
- * XY tables at 1024 tiles.
+ * XY tables at 1024 tiles; a transpose case pins it for pattern
+ * traffic.
  */
 #include <gtest/gtest.h>
 
@@ -137,11 +138,46 @@ TEST(BigMesh, ArenaFootprintReportedAndBounded)
     EXPECT_NE(stats.summary().find("arena bytes"), std::string::npos);
 }
 
+TEST(BigMesh, Mesh32TransposeArenaPerTile)
+{
+    // Pattern traffic holds a few destination entries per router, so
+    // the destination store must stay about as small as the hash table
+    // it replaced: 25,708 bytes of arena per tile with hashed
+    // destination keys, and one placement group keeps chunk rounding
+    // independent of the host's thread count. A store sized by every
+    // (input, destination) pair would add about 5 KB per tile here.
+    const net::Topology topo = net::Topology::mesh2d(32, 32);
+    const std::uint32_t n = topo.num_nodes();
+    sim::SystemLayout layout;
+    layout.placement_groups = 1;
+    auto sys = std::make_unique<sim::System>(topo, net::NetworkConfig{},
+                                             /*seed=*/5, layout);
+    const auto pattern = traffic::pattern_by_name("transpose", n);
+    net::routing::build_xy(sys->network(),
+                           traffic::flows_for_pattern(n, pattern));
+    for (NodeId i = 0; i < n; ++i) {
+        traffic::SyntheticConfig sc;
+        sc.pattern = pattern;
+        sc.packet_size = 4;
+        sc.rate = 0.02;
+        sys->add_frontend(i, std::make_unique<traffic::SyntheticInjector>(
+                                 sys->tile(i), sc));
+    }
+    sys->freeze_tables();
+    std::size_t entries = 0;
+    for (NodeId i = 0; i < n; ++i)
+        entries += sys->network().router(i).routing_table().size();
+    EXPECT_EQ(entries, 22848u);
+    EXPECT_LT(sys->collect_stats().arena_bytes_per_tile, 25708.0 * 1.02);
+}
+
 TEST(BigMesh, Mesh32AllPairsXyTables)
 {
-    // All-pairs XY at 1024 tiles: destination keys hold one entry per
-    // (node, prev, destination), 2,095,104 in all, where one entry per
-    // flow and hop put about 2.7 MB of arena on every tile.
+    // All-pairs XY at 1024 tiles: one destination entry per (node,
+    // prev, destination), 2,095,104 in all, where one entry per flow
+    // and hop put about 2.7 MB of arena on every tile and hashed
+    // destination keys about 420 KB. The dense destination store
+    // leaves about 80 KB, mostly per-flow statistics.
     const net::Topology topo = net::Topology::mesh2d(32, 32);
     const std::uint32_t n = topo.num_nodes();
     auto sys = std::make_unique<sim::System>(topo, net::NetworkConfig{},
@@ -167,7 +203,7 @@ TEST(BigMesh, Mesh32AllPairsXyTables)
     sys->run(ro);
     const SystemStats stats = sys->collect_stats();
     EXPECT_GT(stats.total.flits_delivered, 0u);
-    EXPECT_LT(stats.arena_bytes_per_tile, 512.0 * 1024);
+    EXPECT_LT(stats.arena_bytes_per_tile, 128.0 * 1024);
 }
 
 } // namespace

@@ -377,10 +377,18 @@ TEST(FlatTable, FlowStatsTableDenseAndOverflow)
     t.clear();
     EXPECT_EQ(t.overflow_size(), 0u);
 
-    t.freeze({7, 3, 3, 9}); // duplicates dedup
+    // The flow ids are read in place, so they must be sorted and
+    // distinct (net::Network::deliverable_flows keeps them so).
+    const std::vector<FlowId> unsorted{7, 3, 9}, repeated{3, 3, 9};
+    common::FlowStatsTable bad;
+    EXPECT_THROW(bad.freeze(unsorted), std::logic_error);
+    EXPECT_THROW(bad.freeze(repeated), std::logic_error);
+
+    const std::vector<FlowId> flows{3, 7, 9}, other{1};
+    t.freeze(flows);
     EXPECT_TRUE(t.frozen());
     EXPECT_EQ(t.dense_size(), 3u);
-    t.freeze({1}); // first freeze wins
+    t.freeze(other); // first freeze wins
     EXPECT_EQ(t.dense_size(), 3u);
 
     t.at(3).flits_delivered = 2;

@@ -391,6 +391,12 @@ check_prom_paths(Network &net, NodeId node, NodeId prev,
     EXPECT_EQ(std::vector<RouteResult>(opts.begin(), opts.end()), want)
         << "at node " << node << " from " << prev << " for flow "
         << fl.src << " -> " << fl.dst;
+    // The pick scales its draw by the total: bit-equal, summed left to
+    // right as a per-flow entry's is.
+    double total = 0.0;
+    for (const RouteResult &o : want)
+        total = total + o.weight;
+    EXPECT_EQ(opts.total_weight, total);
     if (want.front().next_node == node)
         return 1;
     std::uint64_t paths = 0;

@@ -124,6 +124,105 @@ TEST(RoutingTable, WeightedPickRespectsWeights)
     EXPECT_NEAR(static_cast<double>(to2) / n, 0.75, 0.02);
 }
 
+TEST(RoutingTable, FlowEntryOverridesDestinationEntry)
+{
+    // Node 4 with neighbours 1, 3, 5, 7 (inputs 0..3, injection 4).
+    RoutingTable t(4, {1, 3, 5, 7});
+    t.add({3, 9}, RouteResult{5, 9, 1.0});
+    const RouteResult west{7, kKeepFlow, 1.0};
+    t.add_destination(3, 8, &west, 1);
+    t.freeze();
+    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.flow_keys(), 1u);
+    // Both entries match (prev 3, flow 9, dst 8): the flow entry wins.
+    EXPECT_EQ(t.route(3, 9, 8).front().next_node, 5u);
+    EXPECT_EQ(t.route_input(1, 3, 9, 8).front().next_node, 5u);
+    // Other flows bound for 8 from 3 read the destination entry.
+    EXPECT_EQ(t.route(3, 10, 8).front().next_node, 7u);
+    EXPECT_EQ(t.route_input(1, 3, 10, 8).front().next_node, 7u);
+    // The destination entry is per input: none from 1 or at injection.
+    EXPECT_THROW(t.route(1, 10, 8), std::logic_error);
+    EXPECT_THROW(t.route(4, 10, 8), std::logic_error);
+}
+
+TEST(RoutingTable, DestinationStoreContract)
+{
+    RoutingTable t(0, {1});
+    const RouteResult one{1, kKeepFlow, 1.0};
+    // The previous hop must be a neighbour or the node itself.
+    EXPECT_THROW(t.add_destination(2, 5, &one, 1), std::logic_error);
+    // Destination entries never rename.
+    const RouteResult renames{1, 3, 1.0};
+    EXPECT_THROW(t.add_destination(1, 5, &renames, 1), std::logic_error);
+    const RouteResult zero{1, kKeepFlow, 0.0};
+    EXPECT_THROW(t.add_destination(1, 5, &zero, 1), std::runtime_error);
+
+    // 300 destinations with distinct weights from input 0 (prev 1)
+    // need 300 rows, more than a one-byte row number holds.
+    for (NodeId d = 0; d < 300; ++d) {
+        const RouteResult opts[2] = {{0, kKeepFlow, 1.0},
+                                     {1, kKeepFlow, 1.0 + d}};
+        t.add_destination(1, d, opts, 2);
+    }
+    t.add_destination(0, 299, &one, 1);
+    Rng rng(1);
+    EXPECT_THROW(t.route(1, 0, 7), std::logic_error); // unfrozen
+    EXPECT_THROW(t.size(), std::logic_error);
+    t.freeze();
+    EXPECT_EQ(t.size(), 301u);
+    for (NodeId d = 0; d < 300; ++d) {
+        const auto &opts = t.route(1, 77, d);
+        ASSERT_EQ(opts.size(), 2u);
+        EXPECT_EQ(opts[1].weight, 1.0 + d);
+        EXPECT_EQ(opts.total_weight, 2.0 + d);
+    }
+    EXPECT_EQ(&t.route(0, 77, 299).front(), &t.route(0, 12, 299).front());
+    EXPECT_EQ(t.route(0, 77, 299).front().next_node, 1u);
+    EXPECT_THROW(t.route(0, 77, 298), std::logic_error);
+    EXPECT_THROW(t.route(1, 77, 300), std::logic_error); // beyond the index
+    EXPECT_THROW(t.add_destination(1, 400, &one, 1), std::logic_error);
+
+    // Adding one (prev, dst) twice is a bug the freeze reports.
+    RoutingTable dup(0, {1});
+    dup.add_destination(1, 5, &one, 1);
+    dup.add_destination(1, 5, &one, 1);
+    EXPECT_THROW(dup.freeze(), std::logic_error);
+}
+
+TEST(RoutingTable, AdoptedTableAnswersEveryDestination)
+{
+    // PROM all-pairs: multi-option entries with per-destination
+    // weights. An adopter must answer every (prev, dst) with the
+    // donor's own view.
+    auto topo = Topology::mesh2d(4, 4);
+    NetHarness donor(topo), adopter(topo);
+    std::vector<FlowSpec> flows;
+    for (NodeId s = 0; s < 16; ++s)
+        for (NodeId d = 0; d < 16; ++d)
+            flows.push_back({static_cast<FlowId>(s * 16 + d), s, d, 1.0});
+    routing::build_prom(*donor.net, flows);
+    donor.freeze();
+    for (NodeId n = 0; n < 16; ++n) {
+        adopter.net->router(n).adopt_tables(donor.net->router(n));
+        const RoutingTable &want = donor.net->router(n).routing_table();
+        const RoutingTable &got = adopter.net->router(n).routing_table();
+        EXPECT_EQ(got.size(), want.size());
+        EXPECT_EQ(got.describe(), want.describe());
+        std::size_t entries = 0;
+        want.for_each_destination(
+            [&](NodeId prev, NodeId dst, const RoutingTable::Options &o) {
+                EXPECT_EQ(&got.route(prev, 1, dst), &o)
+                    << "node " << n << " prev " << prev << " dst " << dst;
+                ++entries;
+            });
+        EXPECT_EQ(entries, want.size());
+    }
+    // A router with other neighbours cannot adopt.
+    RoutingTable stranger(5, {1, 4, 6});
+    EXPECT_THROW(stranger.adopt(donor.net->router(5).routing_table()),
+                 std::logic_error);
+}
+
 // ---------------------------------------------------------------------
 // Path helpers
 // ---------------------------------------------------------------------
@@ -185,8 +284,8 @@ TEST(BuildXy, InstallsDeterministicRoute)
     ASSERT_EQ(opts.size(), 1u);
     EXPECT_EQ(opts.front().next_node, 8u);
     EXPECT_EQ(opts.front().next_flow, kKeepFlow);
-    EXPECT_EQ(&opts,
-              h.net->router(7).routing_table().lookup({6, dst_key(2)}));
+    // Any flow bound for 2 from 6 reads the same entry.
+    EXPECT_EQ(&opts, &h.net->router(7).routing_table().route(6, 555, 2));
 }
 
 TEST(BuildXy, SelfFlowDeliversLocally)
@@ -238,6 +337,20 @@ TEST(BuildXy, AllPairs16x16HoldsOneEntryPerNodePrevDestination)
                   topo.num_nodes() - 1);
     }
     EXPECT_EQ(entries, 130560u);
+    // Tiles' flow statistics read these ids in place once frozen.
+    EXPECT_THROW(h.net->register_flows({{1, 0, 5, 1.0}}), std::logic_error);
+    EXPECT_EQ(h.net->deliverable_flows(5).size(), topo.num_nodes() - 1);
+}
+
+TEST(Network, DeliverableFlowsSortedWithoutRepeats)
+{
+    // The one copy of each tile's flow ids: sorted and deduplicated,
+    // whatever the registration order, because flow statistics
+    // binary-search them in place.
+    NetHarness h(Topology::mesh2d(3, 3));
+    h.net->register_flows({{9, 0, 4, 1.0}, {3, 1, 4, 1.0}});
+    h.net->register_flows({{3, 1, 4, 1.0}, {5, 2, 4, 1.0}});
+    EXPECT_EQ(h.net->deliverable_flows(4), (std::vector<FlowId>{3, 5, 9}));
 }
 
 TEST(BuildXy, FlitWithoutDestinationEntryPanicsNamingIt)
@@ -262,6 +375,34 @@ TEST(BuildXy, FlitWithoutDestinationEntryPanicsNamingIt)
     } catch (const std::logic_error &e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("prev=0 flow=77 dst=5"), std::string::npos)
+            << msg;
+    }
+}
+
+TEST(BuildXy, FlitFromUnlistedPrevPanics)
+{
+    // The single flow 0 -> 2 passes router 1 from prev 0, so router 1
+    // holds (prev 0, dst 2) but not (prev 1, dst 2): a flit injected
+    // at 1 for 2 has no entry, although another input routes dst 2.
+    NetHarness h(Topology::mesh2d(3, 3));
+    routing::build_xy(*h.net, {{77, 0, 2, 1.0}});
+    h.freeze();
+    Router &r = h.net->router(1);
+    EXPECT_EQ(r.routing_table().route(0, 77, 2).front().next_node, 2u);
+    Flit f;
+    f.flow = 78;
+    f.original_flow = 78;
+    f.src = 1;
+    f.dst = 2;
+    f.head = f.tail = true;
+    f.arrival_cycle = 1;
+    r.injection_buffer(0).push(f);
+    try {
+        r.posedge(1);
+        FAIL() << "routed a flit from an input with no entry";
+    } catch (const std::logic_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("prev=1 flow=78 dst=2"), std::string::npos)
             << msg;
     }
 }
